@@ -20,7 +20,7 @@ refcase    bundled fourth-order benchmark with frozen expected values
 cli        obs-forge command-line front end
 """
 
-from . import attack, cli, model, numerics, observer, refcase, roa, sim
+from . import attack, model, numerics, observer, refcase, roa, sim
 from .attack import (
     AttackDesign,
     ForbiddenSet,
@@ -56,6 +56,7 @@ from .observer import (
     AugmentedJacobian,
     ObserverDesign,
     augmented_jacobian,
+    coupled_field,
     default_poles,
     design_gain,
     error_rhs,
@@ -124,6 +125,7 @@ __all__ = [
     "AugmentedJacobian",
     "ObserverDesign",
     "augmented_jacobian",
+    "coupled_field",
     "default_poles",
     "design_gain",
     "error_rhs",

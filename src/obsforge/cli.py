@@ -445,9 +445,8 @@ def _design_for_run(config, cl, plant, controller):
     """Either reuse a stored bundle or run the synthesis chain."""
     if config.bundle:
         payload, b_plant, b_controller, b_cl, design, obs = load_bundle(config.bundle)
-        flags = _verification_flags(
-            b_cl, design, obs, _estimate_from_bundle(payload, b_cl, design, obs, config)
-        )
+        est = _estimate_from_bundle(payload, b_cl, design, obs, config)
+        flags = _verification_flags(b_cl, design, obs, est)
         stored = payload.get("verification", {})
         diffs = {k: (stored.get(k), v) for k, v in flags.items() if stored.get(k) != v}
         if diffs:
@@ -455,7 +454,6 @@ def _design_for_run(config, cl, plant, controller):
                 "re-verification of the bundle changed flags: %s" % diffs,
                 field="bundle",
             )
-        est = _estimate_from_bundle(payload, b_cl, design, obs, config)
         return b_cl, design, obs, est
     design, obs, est = _design_pipeline(config, cl)
     return cl, design, obs, est

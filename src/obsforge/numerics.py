@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConditioningWarning, NumericError
 
@@ -265,6 +264,8 @@ def spectrum_distance(got, target):
     Matches the two spectra by minimum-cost assignment and returns the
     largest paired distance, so the result is pairing-order independent.
     """
+    from scipy.optimize import linear_sum_assignment  # slow to import; few callers
+
     got = np.asarray(got, dtype=complex)
     target = np.asarray(target, dtype=complex)
     if got.shape != target.shape:

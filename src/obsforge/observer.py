@@ -6,9 +6,11 @@ augmented Jacobian and governs how fast the estimate catches the state.
 Placement happens on (Fbar, Hbar) with the combined gain Ltilde = B + L,
 then L = Ltilde - B is recovered.
 
-Also provides the coupled right-hand sides (plant under attack, observer,
-estimation error) and the augmented Jacobian pair used for the spectrum
-split sigma(J_phi) = sigma(A) u sigma(Fbar + (B+L) Hbar).
+Also provides the augmented Jacobian pair used for the spectrum split
+sigma(J_phi) = sigma(A) u sigma(Fbar + (B+L) Hbar), the coupled field that
+the integrator and the certificate checks evaluate (linear part J_tilde),
+and the paper's right-hand sides written out one equation at a time
+(plant under attack, observer, estimation error) as its reference.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "observer_rhs",
     "error_rhs",
     "augmented_jacobian",
+    "coupled_field",
 ]
 
 PLACEMENT_TOL = 1e-6
@@ -89,25 +92,17 @@ def design_gain(design, B, desired_poles=None) -> ObserverDesign:
         )
 
     Ltilde = place_poles_dual(design.Fbar, design.Hbar, desired_poles)
-    L = Ltilde - B
-    placed = eig(design.Fbar + (B + L) @ design.Hbar).values
-    err = spectrum_distance(placed, desired_poles)
-    if err > PLACEMENT_TOL:
+    obs = gain_from_vector(design, B, Ltilde - B, desired_poles)
+    if obs.placement_error > PLACEMENT_TOL:
         obs_rows = [design.Hbar]
         for _ in range(n - 1):
             obs_rows.append(obs_rows[-1] @ design.Fbar)
         cond = np.linalg.cond(np.vstack(obs_rows))
         raise SynthesisError(
             "placed spectrum misses target by %.3e (> %.1e); observability "
-            "matrix condition %.3e" % (err, PLACEMENT_TOL, cond)
+            "matrix condition %.3e" % (obs.placement_error, PLACEMENT_TOL, cond)
         )
-    L.setflags(write=False)
-    return ObserverDesign(
-        L=L,
-        desired_poles=desired_poles,
-        placed_poles=placed,
-        placement_error=float(err),
-    )
+    return obs
 
 
 def gain_from_vector(design, B, L, desired_poles=None) -> ObserverDesign:
@@ -215,3 +210,29 @@ def augmented_jacobian(closed_loop, design, obs) -> AugmentedJacobian:
     for M in (J_phi, J_tilde, T):
         M.setflags(write=False)
     return AugmentedJacobian(J_phi=J_phi, J_tilde=J_tilde, T=T)
+
+
+def coupled_field(closed_loop, design, obs):
+    """Vector field of the coupled system over rows S = [z, zhat].
+
+    In closed form sdot = J_tilde s + (z'Qz) u + (zhat'Q zhat) v with
+    u = [b; -l] and v = [0; b + l], where J_tilde is the (z, zhat) Jacobian
+    of :func:`augmented_jacobian`. Equal to [plant_rhs; observer_rhs] with
+    the corrupted measurement ytilde = z'Qz + Hbar zhat. Returns a function
+    mapping an (m, 2n) array to its (m, 2n) derivative.
+    """
+    n = closed_loop.n
+    Q = closed_loop.Q
+    JT = augmented_jacobian(closed_loop, design, obs).J_tilde.T
+    b = closed_loop.B[:, 0]
+    l = obs.L[:, 0]
+    u = np.concatenate([b, -l])
+    v = np.concatenate([np.zeros(n), b + l])
+
+    def field(S):
+        Z, Zh = S[:, :n], S[:, n:]
+        qz = np.einsum("ij,ij->i", Z @ Q, Z)
+        qzh = np.einsum("ij,ij->i", Zh @ Q, Zh)
+        return S @ JT + np.outer(qz, u) + np.outer(qzh, v)
+
+    return field

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AssumptionError, ValidationError
+from .errors import AssumptionError, NumericError, ValidationError
 from .numerics import (
     is_hurwitz,
     lambda_min_sym,
@@ -29,6 +29,7 @@ from .numerics import (
     spectral_abscissa,
     spectral_norm,
 )
+from .observer import coupled_field
 from .sim import integrate_batch
 
 __all__ = [
@@ -297,30 +298,19 @@ def verify_decay(
         closed_loop, design, obs, Z0, Z0 + E0, dt=dt, T=horizon, stride=stride,
         norm_limit=1e6,
     )
-    E = Zh - Z
 
-    # analytic Vdot = 2 z'P1 zdot + 2 e'P2 edot, vectorized over (time, sample)
-    A = closed_loop.A
-    Q = closed_loop.Q
-    b = closed_loop.B[:, 0]
-    l = obs.L[:, 0]
-    h = design.Hbar[0]
-    FLH = design.Fbar + obs.L @ design.Hbar
-    hZq = np.einsum("tsi,ij,tsj->ts", Z, Q, Z)
-    hE = E @ h
-    hZ = Z @ h
-    dZ = Z @ A.T + (hZq + hZ + hE)[..., None] * b
-    cross = 2.0 * np.einsum("tsi,ij,tsj->ts", Z, Q, E) + np.einsum(
-        "tsi,ij,tsj->ts", E, Q, E
-    )
-    dE = E @ FLH.T + (hZ + cross)[..., None] * (b + l)
-
-    V = np.einsum("tsi,ij,tsj->ts", Z, estimate.P1, Z) + np.einsum(
-        "tsi,ij,tsj->ts", E, estimate.P2, E
-    )
-    Vdot = 2.0 * np.einsum("tsi,ij,tsj->ts", Z, estimate.P1, dZ) + 2.0 * np.einsum(
-        "tsi,ij,tsj->ts", E, estimate.P2, dE
-    )
+    # analytic Vdot = 2 z'P1 zdot + 2 e'P2 edot, one recorded instant at a time
+    field = coupled_field(closed_loop, design, obs)
+    V = np.empty(Z.shape[:2])
+    Vdot = np.empty(Z.shape[:2])
+    for t in range(len(times)):
+        Zt, Et = Z[t], Zh[t] - Z[t]
+        dS = field(np.concatenate([Zt, Zh[t]], axis=1))
+        dZ = dS[:, :n]
+        dE = dS[:, n:] - dZ
+        P1Z, P2E = Zt @ estimate.P1, Et @ estimate.P2
+        V[t] = np.einsum("ij,ij->i", P1Z, Zt) + np.einsum("ij,ij->i", P2E, Et)
+        Vdot[t] = 2.0 * (np.einsum("ij,ij->i", P1Z, dZ) + np.einsum("ij,ij->i", P2E, dE))
 
     per_sample = []
     worst = -math.inf
@@ -473,28 +463,23 @@ def certify(closed_loop, design, obs, W1=None, W2=None, delta_fraction=DEFAULT_D
     """End-to-end certificate attempt; infeasibility comes back as data.
 
     Returns a RoaEstimate: feasible with delta and level filled in, or
-    infeasible with notes explaining which requirement failed (c2 <= 0, or
-    the error matrix Fbar + L Hbar not Hurwitz).
+    infeasible with notes explaining which requirement failed (c2 <= 0, a
+    matrix of :func:`lyapunov_pairs` not Hurwitz, or a Lyapunov solve that
+    misses its residual check).
     """
     n = closed_loop.n
-    FLH = design.Fbar + obs.L @ design.Hbar
-    if not is_hurwitz(FLH):
-        z = np.zeros((n, n))
-        return RoaEstimate(
-            P1=z, P2=z,
-            W1=np.eye(n) if W1 is None else np.asarray(W1, dtype=float),
-            W2=np.eye(n) if W2 is None else np.asarray(W2, dtype=float),
-            c1=math.nan, c3=math.nan, c4=math.nan, c2=math.nan,
-            feasible=False,
-            notes=(
-                "error matrix Fbar + L Hbar is not Hurwitz (abscissa %.6g); "
-                "certificate unavailable for this gain"
-                % spectral_abscissa(FLH),
-            ),
-        )
-    P1, P2 = lyapunov_pairs(design, obs, W1, W2)
     W1 = np.eye(n) if W1 is None else np.asarray(W1, dtype=float)
     W2 = np.eye(n) if W2 is None else np.asarray(W2, dtype=float)
+    try:
+        P1, P2 = lyapunov_pairs(design, obs, W1, W2)
+    except (AssumptionError, NumericError) as exc:
+        z = np.zeros((n, n))
+        return RoaEstimate(
+            P1=z, P2=z, W1=W1, W2=W2,
+            c1=math.nan, c3=math.nan, c4=math.nan, c2=math.nan,
+            feasible=False,
+            notes=(str(exc),),
+        )
     est = roa_constants(P1, P2, W1, W2, closed_loop.B, obs.L, closed_loop.Q, design)
     if not est.feasible:
         return replace(

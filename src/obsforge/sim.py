@@ -7,8 +7,9 @@ A single combined 2n-state vector field is integrated with classic RK4:
 
 with m(zhat) = zhat'Q zhat + 2 Hbar zhat and the corrupted measurement
 ytilde = z'Qz + Hbar zhat rebuilt from the stage-consistent (z, zhat), not
-held between steps. Fixed step keeps runs deterministic bit-for-bit, which
-the golden tests rely on.
+held between steps. The field lives in :func:`observer.coupled_field`; its
+linear part is the augmented Jacobian J_tilde. Fixed step keeps runs
+deterministic bit-for-bit, which the golden tests rely on.
 
 Batch integration (used by the Monte Carlo checks) runs the same arithmetic
 over a stack of initial conditions; per-sample blow-ups are recorded, not
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
+from .observer import coupled_field
 
 __all__ = [
     "Trajectory",
@@ -65,29 +67,6 @@ class Trajectory:
     @property
     def z_norm(self):
         return np.linalg.norm(self.z, axis=1)
-
-
-class _Field:
-    """Vectorized combined vector field over rows of [z, zhat]."""
-
-    def __init__(self, closed_loop, design, obs):
-        self.n = closed_loop.n
-        self.A = closed_loop.A
-        self.Q = closed_loop.Q
-        self.b = closed_loop.B[:, 0]
-        self.h = design.Hbar[0]
-        self.l = obs.L[:, 0]
-
-    def __call__(self, S):
-        n = self.n
-        Z, Zh = S[:, :n], S[:, n:]
-        hz = np.einsum("ij,ij->i", Z @ self.Q, Z)
-        a = Zh @ self.h
-        m = np.einsum("ij,ij->i", Zh @ self.Q, Zh) + 2.0 * a
-        innov = m - (hz + a)
-        dZ = Z @ self.A.T + np.outer(hz + a, self.b)
-        dZh = Zh @ self.A.T + np.outer(m, self.b) + np.outer(innov, self.l)
-        return np.concatenate([dZ, dZh], axis=1)
 
 
 def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
@@ -153,7 +132,7 @@ def integrate(closed_loop, design, obs, z0, zhat0, dt=DEFAULT_DT, T=DEFAULT_T, s
             "initial states must have length %d" % n, field="z0/zhat0"
         )
     n_steps = _check_steps(dt, T)
-    field = _Field(closed_loop, design, obs)
+    field = coupled_field(closed_loop, design, obs)
     S0 = np.concatenate([z0, zhat0])[None, :]
     times, states, blowup = _rk4_batch(field, S0, dt, n_steps, stride, NORM_LIMIT)
     if np.isfinite(blowup[0]):
@@ -202,7 +181,7 @@ def integrate_batch(
             "batch shapes must match and have width %d" % n, field="z0_batch"
         )
     n_steps = _check_steps(dt, T)
-    field = _Field(closed_loop, design, obs)
+    field = coupled_field(closed_loop, design, obs)
     S0 = np.concatenate([Z0, Zh0], axis=1)
     times, states, blowup = _rk4_batch(field, S0, dt, n_steps, stride, norm_limit)
     return times, states[:, :, :n], states[:, :, n:], blowup

@@ -2,10 +2,14 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import obsforge
 from obsforge import cli, refcase
 
 FEASIBLE_SYSTEM = {
@@ -42,6 +46,21 @@ def test_validate_reference_system(tmp_path, capsys):
     meta = _read_json(out / "run_meta.json")
     assert meta["seed"] == 0
     assert "validate" in meta["argv"]
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    # `python -m obsforge.cli` must not find the module already imported
+    # by the package, or runpy warns before running it
+    src = os.path.dirname(os.path.dirname(obsforge.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "obsforge.cli", "validate",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_validate_flags_shared_pole(tmp_path, capsys):

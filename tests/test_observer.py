@@ -53,8 +53,10 @@ def test_design_gain_default_poles_work(ref_design, ref_system):
 
 
 def test_error_identity_sampled(ref_system, ref_design, ref_observer):
-    # two routes to the error derivative: direct formula vs observer - plant
+    # two routes to the error derivative: direct formula vs observer - plant,
+    # and the closed-form coupled field against both written-out forms
     _, _, cl = ref_system
+    field = observer.coupled_field(cl, ref_design, ref_observer)
     rng = np.random.default_rng(17)
     for _ in range(100):
         z = rng.standard_normal(cl.n)
@@ -66,6 +68,14 @@ def test_error_identity_sampled(ref_system, ref_design, ref_observer):
         e_dot = observer.error_rhs(cl, ref_design, ref_observer, z, e)
         scale = max(1.0, np.linalg.norm(zhat_dot), np.linalg.norm(z_dot))
         assert np.linalg.norm(e_dot - (zhat_dot - z_dot)) <= 1e-10 * scale
+
+        s_dot = field(np.concatenate([z, zhat])[None, :])[0]
+        dz, dzh = s_dot[: cl.n], s_dot[cl.n :]
+        ref = np.concatenate([z_dot, zhat_dot])
+        assert np.linalg.norm(s_dot - ref) <= 1e-10 * np.linalg.norm(ref)
+        ref_err = np.concatenate([z_dot, e_dot])
+        got_err = np.concatenate([dz, dzh - dz])
+        assert np.linalg.norm(got_err - ref_err) <= 1e-10 * np.linalg.norm(ref_err)
 
 
 def test_error_rhs_zero_at_origin(ref_system, ref_design, ref_observer):

@@ -282,6 +282,18 @@ def test_certify_unstable_gain_reports_not_raises(ref_system):
     assert any("not Hurwitz" in note for note in est.notes)
 
 
+def test_certify_reports_lyapunov_residual_failure(make_random_system):
+    # this draw's error-matrix Lyapunov solve misses the 1e-8 residual check
+    rng = np.random.default_rng(775)
+    _, _, cl = make_random_system(rng)
+    design = attack.build_design(cl, seed=int(rng.integers(0, 2**31)))
+    obs = observer.design_gain(design, cl.B)
+    est = roa.certify(cl, design, obs)
+    assert not est.feasible
+    assert math.isnan(est.c2)
+    assert any("Lyapunov residual" in note for note in est.notes)
+
+
 def test_reports_serialize_to_json(cert_instance):
     cl, design, obs, est = cert_instance
     decay = roa.verify_decay(cl, design, obs, est, n_samples=5, seed=7)
