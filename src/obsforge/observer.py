@@ -213,26 +213,30 @@ def augmented_jacobian(closed_loop, design, obs) -> AugmentedJacobian:
 
 
 def coupled_field(closed_loop, design, obs):
-    """Vector field of the coupled system over rows S = [z, zhat].
+    """Vector field of the coupled system over columns S = [z; zhat].
 
     In closed form sdot = J_tilde s + (z'Qz) u + (zhat'Q zhat) v with
     u = [b; -l] and v = [0; b + l], where J_tilde is the (z, zhat) Jacobian
     of :func:`augmented_jacobian`. Equal to [plant_rhs; observer_rhs] with
     the corrupted measurement ytilde = z'Qz + Hbar zhat. Returns a function
-    mapping an (m, 2n) array to its (m, 2n) derivative.
+    mapping a (2n, m) array, one state per column, to its (2n, m)
+    derivative. The stacked K = [J_tilde; blockdiag(Q, Q)] gives the linear
+    part and the quadratic-form factors [Qz; Q zhat] in one product, and
+    every operation runs along contiguous rows of length m.
     """
     n = closed_loop.n
     Q = closed_loop.Q
-    JT = augmented_jacobian(closed_loop, design, obs).J_tilde.T
+    J = augmented_jacobian(closed_loop, design, obs).J_tilde
+    K = np.vstack([J, np.kron(np.eye(2), Q)])
     b = closed_loop.B[:, 0]
     l = obs.L[:, 0]
     u = np.concatenate([b, -l])
     v = np.concatenate([np.zeros(n), b + l])
+    UV = np.column_stack([u, v])
 
     def field(S):
-        Z, Zh = S[:, :n], S[:, n:]
-        qz = np.einsum("ij,ij->i", Z @ Q, Z)
-        qzh = np.einsum("ij,ij->i", Zh @ Q, Zh)
-        return S @ JT + np.outer(qz, u) + np.outer(qzh, v)
+        G = K @ S
+        q = (G[2 * n :] * S).reshape(2, n, -1).sum(axis=1)
+        return G[: 2 * n] + UV @ q
 
     return field

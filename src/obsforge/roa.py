@@ -203,18 +203,18 @@ def lyapunov_value(P1, P2, z, e):
     return float(z @ P1 @ z + e @ P2 @ e)
 
 
-def _sample_in_ellipsoid(P, level, rng):
-    """One point uniform in {x : x'Px <= level}.
+def _sample_in_ellipsoid(evecs, sqrt_evals, level, rng):
+    """One point uniform in {x : x'Px <= level}, given P = V diag(s^2) V'.
 
-    Gaussian direction, radius u^(1/d), then the P^(-1/2) map; exact for
+    Gaussian direction, radius u^(1/d), then the P^(-1/2) map built from
+    the eigenvectors V and square-root eigenvalues s of P; exact for
     quadratic sublevel sets, no rejections needed.
     """
-    d = P.shape[0]
+    d = evecs.shape[0]
     g = rng.standard_normal(d)
     g /= np.linalg.norm(g)
     r = rng.uniform() ** (1.0 / d)
-    evals, evecs = np.linalg.eigh(P)
-    x = evecs @ ((evecs.T @ g) / np.sqrt(evals))
+    x = evecs @ ((evecs.T @ g) / sqrt_evals)
     return math.sqrt(level) * r * x
 
 
@@ -287,10 +287,12 @@ def verify_decay(
     P[:n, :n] = estimate.P1
     P[n:, n:] = estimate.P2
 
+    evals, evecs = np.linalg.eigh(P)
+    sqrt_evals = np.sqrt(evals)
     samples = np.empty((n_samples, 2 * n))
     for i in range(n_samples):
         rng = np.random.default_rng((seed, i))
-        samples[i] = _sample_in_ellipsoid(P, estimate.level, rng)
+        samples[i] = _sample_in_ellipsoid(evecs, sqrt_evals, estimate.level, rng)
     Z0 = samples[:, :n]
     E0 = samples[:, n:]
 
@@ -305,7 +307,7 @@ def verify_decay(
     Vdot = np.empty(Z.shape[:2])
     for t in range(len(times)):
         Zt, Et = Z[t], Zh[t] - Z[t]
-        dS = field(np.concatenate([Zt, Zh[t]], axis=1))
+        dS = field(np.concatenate([Zt, Zh[t]], axis=1).T).T
         dZ = dS[:, :n]
         dE = dS[:, n:] - dZ
         P1Z, P2E = Zt @ estimate.P1, Et @ estimate.P2

@@ -199,12 +199,6 @@ def test_criterion_09_box_convergence(ref_system, ref_design, ref_observer):
     )
 
 
-def _induced_pair(cl, pi):
-    Hbar = np.zeros((1, cl.n))
-    Hbar[0, : cl.n_p] = 2.0 * np.asarray(pi, dtype=float) @ cl.Q_p
-    return cl.A + cl.B @ Hbar, Hbar
-
-
 def test_criterion_10a_pbh_brute_force_agreement(make_random_system):
     rng = np.random.default_rng(42)
     n_systems = 0
@@ -224,7 +218,7 @@ def test_criterion_10a_pbh_brute_force_agreement(make_random_system):
             if norm < 1e-9:
                 continue
             pi_in /= norm
-            F, H = _induced_pair(cl, pi_in)
+            F, H = attack._reference_pair(cl, pi_in)
             verdict = attack.is_observable(F, H)
             assert not verdict.observable, (
                 "projection inside %s classified observable (margin %.3e)"
@@ -240,7 +234,7 @@ def test_criterion_10a_pbh_brute_force_agreement(make_random_system):
             clearance = min((sub.margin(pi) for sub in forbidden), default=1.0)
             if clearance < 1e-3:
                 continue
-            F, H = _induced_pair(cl, pi)
+            F, H = attack._reference_pair(cl, pi)
             verdict = attack.is_observable(F, H)
             assert verdict.observable, (
                 "projection clear of every subspace (clearance %.3e) classified "

@@ -48,19 +48,27 @@ def test_validate_reference_system(tmp_path, capsys):
     assert "validate" in meta["argv"]
 
 
-def test_module_entry_point_runs_without_warnings(tmp_path):
-    # `python -m obsforge.cli` must not find the module already imported
-    # by the package, or runpy warns before running it
+def _run_module_clean(tmp_path, module):
     src = os.path.dirname(os.path.dirname(obsforge.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "obsforge.cli", "validate",
+        [sys.executable, "-W", "error", "-m", module, "validate",
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    # `python -m obsforge.cli` must not find the module already imported
+    # by the package, or runpy warns before running it
+    _run_module_clean(tmp_path, "obsforge.cli")
+
+
+def test_package_entry_point_runs_without_warnings(tmp_path):
+    _run_module_clean(tmp_path, "obsforge")
 
 
 def test_validate_flags_shared_pole(tmp_path, capsys):

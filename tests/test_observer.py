@@ -69,7 +69,7 @@ def test_error_identity_sampled(ref_system, ref_design, ref_observer):
         scale = max(1.0, np.linalg.norm(zhat_dot), np.linalg.norm(z_dot))
         assert np.linalg.norm(e_dot - (zhat_dot - z_dot)) <= 1e-10 * scale
 
-        s_dot = field(np.concatenate([z, zhat])[None, :])[0]
+        s_dot = field(np.concatenate([z, zhat])[:, None])[:, 0]
         dz, dzh = s_dot[: cl.n], s_dot[cl.n :]
         ref = np.concatenate([z_dot, zhat_dot])
         assert np.linalg.norm(s_dot - ref) <= 1e-10 * np.linalg.norm(ref)

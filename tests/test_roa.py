@@ -170,10 +170,11 @@ def test_ellipsoid_sampler_fills_sublevel_set(cert_instance):
     P = np.zeros((2 * cl.n, 2 * cl.n))
     P[: cl.n, : cl.n] = est.P1
     P[cl.n :, cl.n :] = est.P2
+    evals, evecs = np.linalg.eigh(P)
     rng = np.random.default_rng(5)
     values = []
     for _ in range(400):
-        x = roa._sample_in_ellipsoid(P, est.level, rng)
+        x = roa._sample_in_ellipsoid(evecs, np.sqrt(evals), est.level, rng)
         values.append(float(x @ P @ x))
     values = np.array(values)
     assert values.max() <= est.level * (1.0 + 1e-9)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from obsforge import refcase, sim
+from obsforge import attack, observer, refcase, sim
 from obsforge.errors import DivergenceError, ValidationError
 
 
@@ -98,6 +98,63 @@ def test_integrate_batch_matches_single_runs(ref_system, ref_design, ref_observe
         assert np.array_equal(times, traj.times)
         assert np.allclose(Z[:, i], traj.z, rtol=0, atol=1e-13)
         assert np.allclose(Zh[:, i], traj.z_hat, rtol=0, atol=1e-13)
+
+
+def test_integrate_batch_divergence_semantics(ref_system, ref_design, ref_observer):
+    # a growing row, a row that starts non-finite and two survivors; the
+    # per-column norm runs only when the max-abs screen fails
+    _, _, cl = ref_system
+    Z0 = np.array([[0.1] * 4, [50.0] * 4, [np.nan, 0.0, 0.0, 0.0], [-0.2] * 4])
+    times, Z, Zh, blowup = sim.integrate_batch(
+        cl, ref_design, ref_observer, Z0, -Z0, dt=1e-3, T=1.0, norm_limit=1e9
+    )
+    assert np.array_equal(blowup, [np.nan, 0.021, 0.001, np.nan], equal_nan=True)
+    with pytest.raises(DivergenceError) as excinfo:
+        sim.integrate(cl, ref_design, ref_observer, Z0[1], -Z0[1], dt=1e-3, T=1.0)
+    assert excinfo.value.time == blowup[1]
+    for i in (1, 2):
+        after = times >= blowup[i]
+        assert np.isnan(Z[after, i]).all() and np.isnan(Zh[after, i]).all()
+    assert np.isfinite(Z[times < blowup[1], 1]).all()
+    for i in (0, 3):
+        traj = sim.integrate(cl, ref_design, ref_observer, Z0[i], -Z0[i], dt=1e-3, T=1.0)
+        assert np.allclose(Z[:, i], traj.z, rtol=0, atol=1e-13)
+        assert np.allclose(Zh[:, i], traj.z_hat, rtol=0, atol=1e-13)
+
+
+def test_integrate_batch_matches_plain_rk4(ref_system, ref_design, ref_observer):
+    # independent oracle: textbook RK4 over the written-out right-hand sides
+    _, _, cl = ref_system
+    n = cl.n
+    dt, T = 1e-3, 0.1
+    rng = np.random.default_rng(23)
+    Z0 = rng.uniform(-0.5, 0.5, (3, n))
+    Zh0 = rng.uniform(-0.5, 0.5, (3, n))
+    _, Z, Zh, blowup = sim.integrate_batch(
+        cl, ref_design, ref_observer, Z0, Zh0, dt=dt, T=T, stride=10
+    )
+    assert not np.isfinite(blowup).any()
+
+    def rhs(s):
+        z, zhat = s[:n], s[n:]
+        ytilde = cl.output(z) + attack.attack_signal(ref_design, zhat)
+        return np.concatenate(
+            [
+                observer.plant_rhs(cl, ref_design, z, zhat),
+                observer.observer_rhs(cl, ref_design, ref_observer, zhat, ytilde),
+            ]
+        )
+
+    for i in range(3):
+        s = np.concatenate([Z0[i], Zh0[i]])
+        for _ in range(int(round(T / dt))):
+            k1 = rhs(s)
+            k2 = rhs(s + 0.5 * dt * k1)
+            k3 = rhs(s + 0.5 * dt * k2)
+            k4 = rhs(s + dt * k3)
+            s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = np.concatenate([Z[-1, i], Zh[-1, i]])
+        assert np.linalg.norm(got - s) <= 1e-12 * np.linalg.norm(s)
 
 
 def test_integrate_validates_inputs(ref_system, ref_design, ref_observer):
