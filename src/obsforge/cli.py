@@ -125,40 +125,43 @@ def build_parser():
             "expected values"
         ),
     }
+    # each subcommand registers only the flags it reads; defaults live in
+    # RunConfig, and an omitted flag stays None so config_from_args skips it
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="path to a system JSON definition")
-        p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--dt", type=float, default=1e-3, help="integration step")
-        p.add_argument("--horizon", type=float, default=5.0, help="final time")
-        p.add_argument(
-            "--pi", help="target projection direction pi*, comma separated"
-        )
-        p.add_argument(
-            "--gamma-fraction",
-            type=float,
-            default=0.9,
-            help="fraction of the stability bound used for the attack scaling",
-        )
-        p.add_argument(
-            "--poles", help="desired observer poles, comma separated"
-        )
-        p.add_argument(
-            "--y-scale", type=float, default=0.2, help="Lyapunov weight Y = scale*I"
-        )
-        p.add_argument(
-            "--w1-scale", type=float, default=1.0, help="certificate weight W1 = scale*I"
-        )
-        p.add_argument(
-            "--w2-scale", type=float, default=1.0, help="certificate weight W2 = scale*I"
-        )
-        p.add_argument(
-            "--delta-fraction",
-            type=float,
-            default=0.1,
-            help="decay margin delta as a fraction of c2",
-        )
+        if name != "reproduce-paper":
+            p.add_argument("--config", help="path to a system JSON definition")
+        p.add_argument("--seed", type=int, help="master RNG seed")
+        p.add_argument("--out", help="output directory")
+        if name in ("simulate", "roa", "reproduce-paper"):
+            p.add_argument("--dt", type=float, help="integration step")
+            p.add_argument("--horizon", type=float, help="final time")
+        if name in ("synthesize", "simulate", "roa"):
+            p.add_argument(
+                "--pi", help="target projection direction pi*, comma separated"
+            )
+            p.add_argument(
+                "--gamma-fraction",
+                type=float,
+                help="fraction of the stability bound used for the attack scaling",
+            )
+            p.add_argument(
+                "--poles", help="desired observer poles, comma separated"
+            )
+            p.add_argument(
+                "--y-scale", type=float, help="Lyapunov weight Y = scale*I"
+            )
+            p.add_argument(
+                "--w1-scale", type=float, help="certificate weight W1 = scale*I"
+            )
+            p.add_argument(
+                "--w2-scale", type=float, help="certificate weight W2 = scale*I"
+            )
+            p.add_argument(
+                "--delta-fraction",
+                type=float,
+                help="decay margin delta as a fraction of c2",
+            )
         if name == "simulate":
             p.add_argument("--z0", help="initial plant/controller state, comma separated")
             p.add_argument("--zhat0", help="initial observer state, comma separated")
@@ -170,24 +173,30 @@ def build_parser():
     return parser
 
 
+# argparse destination -> RunConfig field
+_SCALAR_FIELDS = {
+    "config": "system",
+    "seed": "seed",
+    "out": "output_dir",
+    "gamma_fraction": "gamma_fraction",
+    "y_scale": "Y_scale",
+    "w1_scale": "W1_scale",
+    "w2_scale": "W2_scale",
+    "delta_fraction": "delta_fraction",
+    "dt": "dt",
+    "horizon": "T",
+    "bundle": "bundle",
+}
+_VECTOR_FIELDS = {"pi": "pi_star", "poles": "desired_poles", "z0": "z0", "zhat0": "zhat0"}
+
+
 def config_from_args(args):
-    return RunConfig(
-        system=args.config,
-        pi_star=_parse_vector(args.pi, "pi") if args.pi else None,
-        gamma_fraction=args.gamma_fraction,
-        Y_scale=args.y_scale,
-        desired_poles=_parse_vector(args.poles, "poles") if args.poles else None,
-        W1_scale=args.w1_scale,
-        W2_scale=args.w2_scale,
-        delta_fraction=args.delta_fraction,
-        dt=args.dt,
-        T=args.horizon,
-        seed=args.seed,
-        output_dir=args.out,
-        z0=_parse_vector(args.z0, "z0") if getattr(args, "z0", None) else None,
-        zhat0=_parse_vector(args.zhat0, "zhat0") if getattr(args, "zhat0", None) else None,
-        bundle=getattr(args, "bundle", None),
-    )
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    kwargs = {field: given[dest] for dest, field in _SCALAR_FIELDS.items() if dest in given}
+    for dest, field in _VECTOR_FIELDS.items():
+        if given.get(dest):
+            kwargs[field] = _parse_vector(given[dest], dest)
+    return RunConfig(**kwargs)
 
 
 def _load_system(config):

@@ -4,11 +4,14 @@ Everything here works on small dense matrices (desk scale, n up to a few
 tens), so the implementations favour transparency over asymptotics: the
 Lyapunov equation is solved by Kronecker vectorization and pole placement
 uses Ackermann's formula on the dual pair. Complex arithmetic stays inside
-this module; returned gains and solutions are real.
+this module; returned gains and solutions are real. The module needs numpy
+only: spectra are matched by a plain-Python assignment solver, because
+importing ``scipy.optimize`` costs more than every call made here.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -263,13 +266,86 @@ def spectrum_distance(got, target):
 
     Matches the two spectra by minimum-cost assignment and returns the
     largest paired distance, so the result is pairing-order independent.
-    """
-    from scipy.optimize import linear_sum_assignment  # slow to import; few callers
+    The assignment comes from Crouse's shortest augmenting path solver
+    (IEEE TAES 2016), ported step for step from the one behind
+    ``scipy.optimize.linear_sum_assignment``; it picks the same pairing as
+    scipy, ties included, so the returned float is the same as well.
 
+    Raises
+    ------
+    ValueError
+        If the spectra differ in size or a pairwise distance is not finite.
+    """
     got = np.asarray(got, dtype=complex)
     target = np.asarray(target, dtype=complex)
     if got.shape != target.shape:
         raise ValueError("spectra differ in size: %d vs %d" % (got.size, target.size))
     cost = np.abs(got[:, None] - target[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("spectra have non-finite entries or distances")
+    cost = cost.tolist()
+    return max(row[j] for row, j in zip(cost, _min_cost_matching(cost)))
+
+
+def _min_cost_matching(cost):
+    """Column assigned to each row of a square cost list at minimum total cost.
+
+    One shortest augmenting path per row with dual potentials ``u``, ``v``.
+    The scan order of the columns, the tie rule and every floating-point
+    expression follow scipy's implementation, which fixes the pairing among
+    equal-cost optima.
+    """
+    n = len(cost)
+    u = [0.0] * n
+    v = [0.0] * n
+    path = [-1] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for cur_row in range(n):
+        shortest = [math.inf] * n
+        # reverse order makes a constant cost matrix give the identity
+        remaining = list(range(n - 1, -1, -1))
+        rows_seen = []
+        cols_seen = []
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            rows_seen.append(i)
+            row, u_i = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                # among equal minima prefer a free column: it ends the path
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            # drop the column by moving the last one into its slot
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur_row] += min_val
+        for i in rows_seen:
+            if i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row

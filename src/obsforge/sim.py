@@ -312,10 +312,10 @@ def trajectory_to_csv(traj, path):
     table = np.column_stack(
         [traj.times, traj.z, traj.z_hat, traj.e, traj.y, traj.y_tilde, traj.a]
     )
+    fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in table:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        fh.writelines(fmt % tuple(r) for r in table.tolist())
 
 
 def write_gnuplot_stub(csv_path, script_path, n):

@@ -48,14 +48,19 @@ def test_validate_reference_system(tmp_path, capsys):
     assert "validate" in meta["argv"]
 
 
-def _run_module_clean(tmp_path, module):
+def _run_clean(args):
+    """Run the interpreter on ``args`` with obsforge's source on the path."""
     src = os.path.dirname(os.path.dirname(obsforge.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", module, "validate",
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable] + args, capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _run_module_clean(tmp_path, module):
+    proc = _run_clean(
+        ["-W", "error", "-m", module, "validate", "--out", str(tmp_path / "out")]
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
@@ -69,6 +74,46 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
 
 def test_package_entry_point_runs_without_warnings(tmp_path):
     _run_module_clean(tmp_path, "obsforge")
+
+
+def test_cli_flow_does_not_import_scipy_optimize(tmp_path):
+    """The CLI flow runs without loading scipy.optimize.
+
+    Importing it costs 0.54-0.64 s per process on a 2-vCPU x86 host, several
+    times all of ``obsforge.cli``. ``scipy.signal`` (1.2-1.3 s there) imports
+    it as well, so a kernel taken from ``scipy.signal`` would fail this test.
+    """
+    out = str(tmp_path / "out")
+    bundle = os.path.join(out, "bundle.json")
+    script = "\n".join([
+        "import sys",
+        "from obsforge import cli",
+        "codes = [cli.main(argv) for argv in %r]" % [
+            ["synthesize", "--out", out],
+            ["simulate", "--bundle", bundle, "--horizon", "0.1", "--out", out],
+            ["roa", "--bundle", bundle, "--horizon", "0.1", "--out", out],
+            ["reproduce-paper", "--out", out],
+        ],
+        "print(codes, 'scipy.optimize' in sys.modules)",
+    ])
+    proc = _run_clean(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[3, 0, 3, 0] False"
+
+
+def test_subcommands_reject_flags_they_do_not_read(tmp_path):
+    cfg = _write_config(tmp_path, FEASIBLE_SYSTEM)
+    out = str(tmp_path / "o")
+    for argv in (
+        ["reproduce-paper", "--config", cfg, "--out", out],
+        ["validate", "--poles=-1", "--out", out],
+        ["validate", "--horizon", "1", "--out", out],
+        ["synthesize", "--bundle", cfg, "--out", out],
+        ["roa", "--z0", "0,0", "--out", out],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_validate_flags_shared_pole(tmp_path, capsys):

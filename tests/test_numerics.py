@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from obsforge.errors import NumericError
 from obsforge.numerics import (
+    _min_cost_matching,
     eig,
     is_hurwitz,
     lambda_min_sym,
@@ -167,3 +169,39 @@ def test_spectrum_distance_permutation_invariant():
     assert spectrum_distance(a, b + 0.1) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         spectrum_distance(a, a[:2])
+
+
+def _conjugate_spectrum(rng, n):
+    """Conjugate-closed spectrum of size n on a coarse grid, with repeated poles."""
+    k = n // 3
+    pairs = rng.integers(-30, -4, k) / 10 + 1j * rng.integers(1, 20, k) / 10
+    if k >= 2:
+        pairs[-1] = pairs[0]
+    reals = rng.integers(-3, 0, n - 2 * k).astype(float)
+    return np.concatenate([pairs, pairs.conj(), reals])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_min_cost_matching_equals_scipy_assignment(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        got = _conjugate_spectrum(rng, n)
+        # a shuffled copy, shifted or not: many equal distances
+        target = got[rng.permutation(n)] + rng.choice([0.0, 0.1, 0.5j])
+        spectral = np.abs(got[:, None] - target[None, :])
+        for cost in (rng.random((n, n)), rng.integers(0, 3, (n, n)).astype(float), spectral):
+            rows, cols = linear_sum_assignment(cost)
+            assert _min_cost_matching(cost.tolist()) == cols.tolist()
+        rows, cols = linear_sum_assignment(spectral)
+        assert spectrum_distance(got, target) == spectral[rows, cols].max()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_spectrum_distance_rejects_nonfinite(bad):
+    a = np.array([-1.0 + 2.0j, -1.0 - 2.0j, -4.0])
+    b = a.copy()
+    b[2] = bad
+    with pytest.raises(ValueError):
+        spectrum_distance(a, b)
+    with pytest.raises(ValueError):
+        spectrum_distance(b, a)

@@ -1,5 +1,7 @@
 """Tests for the RK4 integrator, the decay fit, and the trajectory exports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,9 @@ def test_fit_decay_validation():
 
 def test_trajectory_csv_roundtrip(tmp_path, ref_system, ref_design, ref_observer):
     traj = _reference_run(ref_system, ref_design, ref_observer, T=0.02, stride=2)
+    a = traj.a.copy()
+    a[0] = -0.0
+    traj = dataclasses.replace(traj, a=a)
     path = tmp_path / "traj.csv"
     sim.trajectory_to_csv(traj, path)
     with open(path, encoding="utf-8") as fh:
@@ -244,6 +249,12 @@ def test_trajectory_csv_roundtrip(tmp_path, ref_system, ref_design, ref_observer
         [traj.times, traj.z, traj.z_hat, traj.e, traj.y, traj.y_tilde, traj.a]
     )
     assert np.array_equal(table, expected)
+    # the bytes are those of formatting each value on its own
+    lines = [",".join("%.17g" % v for v in row) + "\n" for row in expected]
+    assert lines[0].endswith(",-0\n")
+    with open(path, "rb") as fh:
+        fh.readline()
+        assert fh.read() == "".join(lines).encode("utf-8")
 
 
 def test_gnuplot_stub_contents(tmp_path):
