@@ -21,7 +21,13 @@ from .errors import (
     SynthesisError,
     ValidationError,
 )
-from .numerics import eig, is_hurwitz, solve_lyapunov, spectral_norm
+from .numerics import (
+    eig,
+    is_hurwitz,
+    observability_matrix,
+    solve_lyapunov,
+    spectral_norm,
+)
 
 __all__ = [
     "ForbiddenSubspace",
@@ -204,13 +210,7 @@ def is_observable(F, Hrow, tol_obs=TOL_OBS) -> ObservabilityResult:
     The pair is declared observable when sigma_min > tol_obs * sigma_max;
     ``margin`` is that singular-value ratio (0 for the zero row).
     """
-    F = np.asarray(F, dtype=float)
-    Hrow = np.atleast_2d(np.asarray(Hrow, dtype=float))
-    n = F.shape[0]
-    rows = [Hrow]
-    for _ in range(n - 1):
-        rows.append(rows[-1] @ F)
-    sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
+    sv = np.linalg.svd(observability_matrix(F, Hrow), compute_uv=False)
     if sv[0] == 0.0:
         return ObservabilityResult(observable=False, margin=0.0)
     margin = float(sv[-1] / sv[0])
@@ -226,6 +226,24 @@ def _reference_pair(closed_loop, pi):
     return Fbar, Hbar
 
 
+def _clearances(forbidden, directions):
+    """Angular clearance of each direction from each subspace, in one pass.
+
+    Returns an (m, len(forbidden)) array whose entry (i, j) is
+    ``forbidden.subspaces[j].margin(directions[i])`` up to rounding, for
+    nonzero directions: |cos| against every stacked normal, then the max
+    within each subspace.
+    """
+    P = np.atleast_2d(np.asarray(directions, dtype=float))
+    subspaces = list(forbidden)
+    if not subspaces:
+        return np.empty((P.shape[0], 0))
+    N = np.vstack([v for s in subspaces for v in s.normals])
+    starts = np.cumsum([0] + [len(s.normals) for s in subspaces[:-1]])
+    cos = np.abs(P @ N.T) / np.outer(np.linalg.norm(P, axis=1), np.linalg.norm(N, axis=1))
+    return np.maximum.reduceat(cos, starts, axis=1)
+
+
 def choose_pi_star(
     closed_loop,
     forbidden,
@@ -237,25 +255,22 @@ def choose_pi_star(
     """Select a projection direction clear of every forbidden subspace.
 
     With ``pi_star`` given, validates and returns it. Otherwise draws
-    ``n_candidates`` unit-sphere samples from a seeded generator and keeps
-    the one maximizing the minimum angular margin (ties: lowest index, so
-    the choice is reproducible). Either way the winning direction must make
-    the reference-scale pair (Fbar, Hbar) observable.
+    ``n_candidates`` unit-sphere samples from a seeded generator, scores all
+    of them against every subspace in one array pass, and keeps the one
+    maximizing the minimum angular margin (ties: lowest index, so the choice
+    is reproducible). An empty forbidden set gives every candidate an
+    infinite margin, so the first one wins. Either way the winning direction
+    must make the reference-scale pair (Fbar, Hbar) observable.
 
     Raises
     ------
     ValidationError
         If a user-supplied pi* sits inside a forbidden subspace; the message
-        names the violated subspace's source tag.
+        names the first violated subspace's source tag.
     SynthesisError
         If no candidate clears the margins, or the winner fails the
         observability check (e.g. Q_p = 0 makes induction impossible).
     """
-    subspaces = list(forbidden)
-
-    def min_margin(pi):
-        return min((s.margin(pi) for s in subspaces), default=np.inf)
-
     if pi_star is not None:
         pi_star = np.asarray(pi_star, dtype=float).reshape(-1)
         if pi_star.shape != (closed_loop.n_p,):
@@ -265,11 +280,11 @@ def choose_pi_star(
             )
         if np.linalg.norm(pi_star) == 0.0:
             raise ValidationError("pi_star must be nonzero", field="pi_star")
-        for s in subspaces:
-            if s.margin(pi_star) <= tol_margin:
+        for s, m in zip(forbidden, _clearances(forbidden, pi_star)[0]):
+            if m <= tol_margin:
                 raise ValidationError(
                     "lies in forbidden subspace %s (eigenvalue %s, margin "
-                    "%.3e <= %.1e)" % (s.tag, s.eigenvalue, s.margin(pi_star), tol_margin),
+                    "%.3e <= %.1e)" % (s.tag, s.eigenvalue, m, tol_margin),
                     field="pi_star",
                 )
         chosen = pi_star
@@ -277,7 +292,7 @@ def choose_pi_star(
         rng = np.random.default_rng(seed)
         samples = rng.standard_normal((n_candidates, closed_loop.n_p))
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-        margins = np.array([min_margin(s) for s in samples])
+        margins = _clearances(forbidden, samples).min(axis=1, initial=np.inf)
         best = int(np.argmax(margins))
         if not margins[best] > tol_margin:
             raise SynthesisError(
@@ -413,7 +428,6 @@ def design_from_pi(closed_loop, pi, pi_star=None, gamma=None, gamma_max=None):
     )
     if pi_star is None:
         pi_star = pi.copy()
-        gamma = 1.0 if gamma is None else float(gamma)
     gamma = float(gamma) if gamma is not None else 1.0
     gamma_max = float(gamma_max) if gamma_max is not None else float("nan")
     return _finish_design(closed_loop, forbidden, pi_star, gamma, gamma_max, pi)

@@ -620,7 +620,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         _setup_logging()
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # unknown or misplaced flag (2), --help (0)
+            return exc.code
         config = config_from_args(args)
         _write_meta(config, argv)
         code, _ = _COMMANDS[args.command](config)

@@ -24,6 +24,7 @@ __all__ = [
     "eig",
     "solve_lyapunov",
     "place_poles_dual",
+    "observability_matrix",
     "spectral_norm",
     "lambda_min_sym",
     "spectral_abscissa",
@@ -225,6 +226,15 @@ def place_poles_dual(F, Hrow, desired):
     last_row[0, -1] = 1.0
     k = last_row @ np.linalg.solve(C, pA)  # sigma(At - bt k) = desired
     return -k.T
+
+
+def observability_matrix(F, Hrow):
+    """Stacked rows [H; HF; ...; HF^{n-1}], each one the previous times F."""
+    F = np.asarray(F, dtype=float)
+    rows = [np.atleast_2d(np.asarray(Hrow, dtype=float))]
+    for _ in range(F.shape[0] - 1):
+        rows.append(rows[-1] @ F)
+    return np.vstack(rows)
 
 
 def spectral_norm(M):

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import SynthesisError, ValidationError
 from .numerics import (
     eig,
+    observability_matrix,
     place_poles_dual,
     spectral_abscissa,
     spectrum_distance,
@@ -94,10 +95,7 @@ def design_gain(design, B, desired_poles=None) -> ObserverDesign:
     Ltilde = place_poles_dual(design.Fbar, design.Hbar, desired_poles)
     obs = gain_from_vector(design, B, Ltilde - B, desired_poles)
     if obs.placement_error > PLACEMENT_TOL:
-        obs_rows = [design.Hbar]
-        for _ in range(n - 1):
-            obs_rows.append(obs_rows[-1] @ design.Fbar)
-        cond = np.linalg.cond(np.vstack(obs_rows))
+        cond = np.linalg.cond(observability_matrix(design.Fbar, design.Hbar))
         raise SynthesisError(
             "placed spectrum misses target by %.3e (> %.1e); observability "
             "matrix condition %.3e" % (obs.placement_error, PLACEMENT_TOL, cond)

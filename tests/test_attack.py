@@ -233,3 +233,90 @@ def test_design_from_pi_roundtrip(ref_system, ref_design):
     assert rebuilt.observability_margin == pytest.approx(
         ref_design.observability_margin, rel=1e-12
     )
+
+
+def _candidates(seed, n_p, n_candidates=64):
+    samples = np.random.default_rng(seed).standard_normal((n_candidates, n_p))
+    return samples / np.linalg.norm(samples, axis=1, keepdims=True)
+
+
+def test_clearance_kernel_matches_margin_loop(make_random_system, monkeypatch):
+    # the winner is compared even where the Krylov test would reject it
+    monkeypatch.setattr(
+        attack, "is_observable", lambda F, H: attack.ObservabilityResult(True, 1.0)
+    )
+    rng = np.random.default_rng(505)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        for n in range(4, 13):
+            for _ in range(2):
+                plant, controller, cl = make_random_system(rng, n_p=n // 2, n_c=n - n // 2)
+                fset = attack.forbidden_set(plant, controller)
+                for seed in (0, 1, 7, 123):
+                    samples = _candidates(seed, plant.n_p)
+                    per_sub = attack._clearances(fset, samples)
+                    loop = np.array([[s.margin(p) for s in fset] for p in samples])
+                    np.testing.assert_allclose(per_sub, loop, rtol=0, atol=1e-14)
+                    worst = loop.min(axis=1)
+                    np.testing.assert_allclose(
+                        per_sub.min(axis=1), worst, rtol=0, atol=1e-14
+                    )
+                    chosen = attack.choose_pi_star(cl, fset, seed=seed)
+                    assert np.array_equal(chosen, samples[int(np.argmax(worst))])
+
+
+def test_choose_pi_star_empty_set_takes_first_candidate(ref_system):
+    _, _, cl = ref_system
+    empty = attack.ForbiddenSet(subspaces=())
+    assert attack._clearances(empty, _candidates(3, cl.n_p)).shape == (64, 0)
+    for seed in (0, 3, 9):
+        chosen = attack.choose_pi_star(cl, empty, seed=seed)
+        assert np.array_equal(chosen, _candidates(seed, cl.n_p)[0])
+
+
+def test_choose_pi_star_no_candidate_clears(ref_system):
+    plant, controller, cl = ref_system
+    fset = attack.forbidden_set(plant, controller)
+    best = max(min(s.margin(p) for s in fset) for p in _candidates(4, cl.n_p))
+    # |cos| never exceeds 1, so no candidate clears a unit margin
+    with pytest.raises(SynthesisError, match="no sampled candidate clears") as exc:
+        attack.choose_pi_star(cl, fset, seed=4, tol_margin=1.0)
+    assert "(best %.3e)" % best in str(exc.value)
+
+
+def test_choose_pi_star_names_first_violated_subspace():
+    plant = model.PlantModel(
+        A_p=np.diag([-1.0, -2.0, -3.0]), B_p=np.ones((3, 1)), Q_p=np.eye(3)
+    )
+    controller = model.ControllerModel(
+        A_c=np.array([[-4.0]]), B_c=np.array([[1.0]]), C_c=np.array([[1.0]]), D_c=1.0
+    )
+    cl = model.assemble(plant, controller)
+    fset = attack.forbidden_set(plant, controller)
+    first, second = fset.subspaces[:2]
+    # orthogonal to the single normal of each of the first two subspaces
+    pi = np.cross(first.normals[0], second.normals[0])
+    inside = [s.tag for s in fset if s.margin(pi) <= attack.TOL_MARGIN]
+    assert inside == [first.tag, second.tag]
+    with pytest.raises(ValidationError) as exc:
+        attack.choose_pi_star(cl, fset, pi_star=pi)
+    msg = str(exc.value)
+    assert "forbidden subspace %s (eigenvalue %s, margin " % (first.tag, first.eigenvalue) in msg
+    assert second.tag not in msg
+
+
+def test_choose_pi_star_does_not_call_margin(ref_system, monkeypatch):
+    # the search scores every candidate in one array pass, never per subspace
+    plant, controller, cl = ref_system
+    fset = attack.forbidden_set(plant, controller)
+    seeded = attack.choose_pi_star(cl, fset, seed=9)
+    supplied = attack.choose_pi_star(cl, fset, pi_star=np.array([1.0, -3.0]))
+
+    def fail(self, pi):
+        raise AssertionError("ForbiddenSubspace.margin called")
+
+    monkeypatch.setattr(attack.ForbiddenSubspace, "margin", fail)
+    assert np.array_equal(attack.choose_pi_star(cl, fset, seed=9), seeded)
+    assert np.array_equal(
+        attack.choose_pi_star(cl, fset, pi_star=np.array([1.0, -3.0])), supplied
+    )
