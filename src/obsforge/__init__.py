@@ -17,6 +17,7 @@ roa        Lyapunov certificate, constants, Monte Carlo verification
 sim        fixed-step integration, decay fits, CSV/plot emission
 numerics   eigen/Lyapunov/placement primitives shared by the above
 refcase    bundled fourth-order benchmark with frozen expected values
+report     the one conversion of results to report JSON
 cli        obs-forge command-line front end
 """
 

@@ -22,7 +22,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .errors import (
     SynthesisError,
     ValidationError,
 )
+from .report import jsonable
 
 __all__ = ["RunConfig", "main"]
 
@@ -66,9 +67,6 @@ class RunConfig:
     z0: list | None = None
     zhat0: list | None = None
     bundle: str | None = None
-    decay_samples: int = 200
-    box_samples: int = 500
-    box_halfwidth: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.gamma_fraction < 1.0:
@@ -130,7 +128,9 @@ def build_parser():
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
         if name != "reproduce-paper":
-            p.add_argument("--config", help="path to a system JSON definition")
+            # a bundle carries its own system, so it excludes --config
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--config", help="path to a system JSON definition")
         p.add_argument("--seed", type=int, help="master RNG seed")
         p.add_argument("--out", help="output directory")
         if name in ("simulate", "roa", "reproduce-paper"):
@@ -166,7 +166,7 @@ def build_parser():
             p.add_argument("--z0", help="initial plant/controller state, comma separated")
             p.add_argument("--zhat0", help="initial observer state, comma separated")
         if name in ("simulate", "roa"):
-            p.add_argument(
+            source.add_argument(
                 "--bundle",
                 help="reuse a bundle.json from synthesize instead of redesigning",
             )
@@ -208,32 +208,8 @@ def _load_system(config):
     return plant, controller, model.assemble(plant, controller)
 
 
-def _jsonable(value):
-    """Recursively convert to JSON-safe types; non-finite floats to strings."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    return value
-
-
 def _write_json(path, payload):
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    text = json.dumps(jsonable(payload), indent=2, sort_keys=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")
     log.info("wrote %s", path)
@@ -300,19 +276,7 @@ def _verification_flags(cl, design, obs, est):
 
 def _bundle_payload(config, plant, controller, cl, design, obs, est):
     return {
-        "system": {
-            "plant": {
-                "A_p": plant.A_p.tolist(),
-                "B_p": plant.B_p.tolist(),
-                "Q_p": plant.Q_p.tolist(),
-            },
-            "controller": {
-                "A_c": controller.A_c.tolist(),
-                "B_c": controller.B_c.tolist(),
-                "C_c": controller.C_c.tolist(),
-                "D_c": controller.D_c,
-            },
-        },
+        "system": {"plant": plant, "controller": controller},
         "config": {
             "gamma_fraction": config.gamma_fraction,
             "Y_scale": config.Y_scale,
@@ -322,40 +286,37 @@ def _bundle_payload(config, plant, controller, cl, design, obs, est):
             "seed": config.seed,
         },
         "attack": {
-            "pi_star": design.pi_star.tolist(),
+            "pi_star": design.pi_star,
             "gamma_max": design.gamma_max,
             "gamma": design.gamma,
-            "pi": design.pi.tolist(),
-            "Hbar": design.Hbar.tolist(),
+            "pi": design.pi,
+            "Hbar": design.Hbar,
             "observability_margin": design.observability_margin,
             "forbidden_subspaces": [
                 {
                     "tag": sub.tag,
-                    "normals": [v.tolist() for v in sub.normals],
-                    "eigenvalue": {"re": sub.eigenvalue.real, "im": sub.eigenvalue.imag},
+                    "normals": sub.normals,
+                    "eigenvalue": sub.eigenvalue,
                     "degenerate": sub.degenerate,
                 }
                 for sub in design.forbidden
             ],
-            "forbidden_notes": list(design.forbidden.notes),
+            "forbidden_notes": design.forbidden.notes,
         },
         "observer": {
-            "L": obs.L[:, 0].tolist(),
-            "desired_poles": [
-                {"re": p.real, "im": p.imag} for p in np.atleast_1d(obs.desired_poles)
-            ],
-            "placed_poles": [
-                {"re": p.real, "im": p.imag} for p in obs.placed_poles
-            ],
+            "L": obs.L[:, 0],
+            "desired_poles": obs.desired_poles,
+            # eig returns a real array for a real spectrum; keep {re, im} entries
+            "placed_poles": obs.placed_poles.astype(complex),
             "placement_error": obs.placement_error,
         },
-        "roa": est.as_dict(),
+        "roa": est,
         "verification": _verification_flags(cl, design, obs, est),
     }
 
 
 def load_bundle(path):
-    """Rebuild (plant, controller, cl, design, obs) from a bundle JSON.
+    """Rebuild (payload, cl, design, obs) from a bundle JSON.
 
     The stored pi and L are used verbatim, so a reloaded bundle reproduces
     the original design bit for bit; verification flags are recomputed and
@@ -378,7 +339,7 @@ def load_bundle(path):
         [p["re"] + 1j * p["im"] for p in payload["observer"]["desired_poles"]]
     )
     obs = observer.gain_from_vector(design, cl.B, L, desired)
-    return payload, plant, controller, cl, design, obs
+    return payload, cl, design, obs
 
 
 def cmd_validate(config):
@@ -395,8 +356,8 @@ def cmd_validate(config):
     for label, ok in rows:
         print("  %-*s  %s" % (width, label, "pass" if ok else "FAIL"))
     os.makedirs(config.output_dir, exist_ok=True)
-    _write_json(os.path.join(config.output_dir, "assumptions.json"), report.as_dict())
-    return (EXIT_OK if report.all_passed else EXIT_ASSUMPTION), report.as_dict()
+    _write_json(os.path.join(config.output_dir, "assumptions.json"), report)
+    return EXIT_OK if report.all_passed else EXIT_ASSUMPTION
 
 
 def cmd_synthesize(config):
@@ -404,7 +365,7 @@ def cmd_synthesize(config):
     report = model.validate_assumptions(plant, controller, cl)
     if not report.all_passed:
         print("standing assumptions failed; run the validate subcommand for details")
-        return EXIT_ASSUMPTION, report.as_dict()
+        return EXIT_ASSUMPTION
     design, obs, est = _design_pipeline(config, cl)
     payload = _bundle_payload(config, plant, controller, cl, design, obs, est)
     os.makedirs(config.output_dir, exist_ok=True)
@@ -422,12 +383,12 @@ def cmd_synthesize(config):
             "but no region of attraction is certified. Consider retuning the "
             "observer gain L or the weight matrices W1 and W2." % est.c2
         )
-        return EXIT_INFEASIBLE, payload
+        return EXIT_INFEASIBLE
     print(
         "certificate feasible: c2 = %.6g, delta = %.6g, level = %.6g"
         % (est.c2, est.delta, est.level)
     )
-    return EXIT_OK, payload
+    return EXIT_OK
 
 
 def _default_initial(config, cl):
@@ -450,38 +411,34 @@ def _default_initial(config, cl):
     return z0, zhat0
 
 
-def _design_for_run(config, cl, plant, controller):
+def _design_for_run(config):
     """Either reuse a stored bundle or run the synthesis chain."""
-    if config.bundle:
-        payload, b_plant, b_controller, b_cl, design, obs = load_bundle(config.bundle)
-        est = _estimate_from_bundle(payload, b_cl, design, obs, config)
-        flags = _verification_flags(b_cl, design, obs, est)
-        stored = payload.get("verification", {})
-        diffs = {k: (stored.get(k), v) for k, v in flags.items() if stored.get(k) != v}
-        if diffs:
-            raise ValidationError(
-                "re-verification of the bundle changed flags: %s" % diffs,
-                field="bundle",
-            )
-        return b_cl, design, obs, est
-    design, obs, est = _design_pipeline(config, cl)
-    return cl, design, obs, est
-
-
-def _estimate_from_bundle(payload, cl, design, obs, config):
-    return roa.certify(
+    if not config.bundle:
+        _, _, cl = _load_system(config)
+        return (cl,) + _design_pipeline(config, cl)
+    payload, cl, design, obs = load_bundle(config.bundle)
+    weights = payload["config"]
+    est = roa.certify(
         cl,
         design,
         obs,
-        W1=payload["config"]["W1_scale"] * np.eye(cl.n),
-        W2=payload["config"]["W2_scale"] * np.eye(cl.n),
-        delta_fraction=payload["config"]["delta_fraction"],
+        W1=weights["W1_scale"] * np.eye(cl.n),
+        W2=weights["W2_scale"] * np.eye(cl.n),
+        delta_fraction=weights["delta_fraction"],
     )
+    flags = _verification_flags(cl, design, obs, est)
+    stored = payload.get("verification", {})
+    diffs = {k: (stored.get(k), v) for k, v in flags.items() if stored.get(k) != v}
+    if diffs:
+        raise ValidationError(
+            "re-verification of the bundle changed flags: %s" % diffs,
+            field="bundle",
+        )
+    return cl, design, obs, est
 
 
 def cmd_simulate(config):
-    plant, controller, cl = _load_system(config)
-    cl, design, obs, est = _design_for_run(config, cl, plant, controller)
+    cl, design, obs, est = _design_for_run(config)
     z0, zhat0 = _default_initial(config, cl)
     traj = sim.integrate(cl, design, obs, z0, zhat0, dt=config.dt, T=config.T)
     try:
@@ -496,14 +453,14 @@ def cmd_simulate(config):
     )
     e0 = float(np.linalg.norm(zhat0 - z0))
     payload = {
-        "z0": z0.tolist(),
-        "zhat0": zhat0.tolist(),
+        "z0": z0,
+        "zhat0": zhat0,
         "dt": config.dt,
         "T": config.T,
         "final_error_norm": float(traj.e_norm[-1]),
         "final_state_norm": float(traj.z_norm[-1]),
         "error_ratio": float(traj.e_norm[-1] / e0) if e0 > 0 else 0.0,
-        "decay_fit": fit.as_dict() if fit is not None else None,
+        "decay_fit": fit,
     }
     _write_json(os.path.join(config.output_dir, "simulate.json"), payload)
     rate = "alpha = %.4g" % fit.alpha if fit is not None else "no decay fit"
@@ -511,43 +468,25 @@ def cmd_simulate(config):
         "integrated %d steps; final ||e|| = %.3e, %s"
         % (len(traj.times) - 1, payload["final_error_norm"], rate)
     )
-    return EXIT_OK, payload
+    return EXIT_OK
 
 
 def cmd_roa(config):
-    plant, controller, cl = _load_system(config)
-    cl, design, obs, est = _design_for_run(config, cl, plant, controller)
+    cl, design, obs, est = _design_for_run(config)
     os.makedirs(config.output_dir, exist_ok=True)
-    payload = {"estimate": est.as_dict()}
     box = roa.monte_carlo_box_check(
-        cl,
-        design,
-        obs,
-        box_halfwidth=config.box_halfwidth,
-        n_samples=config.box_samples,
-        horizon=config.T,
-        seed=config.seed,
-        dt=config.dt,
+        cl, design, obs, horizon=config.T, seed=config.seed, dt=config.dt
     )
-    payload["box_check"] = box.as_dict()
+    payload = {"estimate": est, "box_check": box, "decay_check": None}
     code = EXIT_OK
     if est.feasible and est.level is not None and math.isfinite(est.level):
-        decay = roa.verify_decay(
-            cl,
-            design,
-            obs,
-            est,
-            n_samples=config.decay_samples,
-            seed=config.seed,
-            dt=config.dt,
-        )
-        payload["decay_check"] = decay.as_dict()
+        decay = roa.verify_decay(cl, design, obs, est, seed=config.seed, dt=config.dt)
+        payload["decay_check"] = decay
         print(
             "certificate feasible: level %.6g, decay satisfied on %d/%d samples"
             % (est.level, round(decay.fraction_satisfied * decay.n_samples), decay.n_samples)
         )
     else:
-        payload["decay_check"] = None
         print(
             "certificate infeasible (c2 = %.6g <= 0): report written without a "
             "decay check. Consider retuning the observer gain L or the weight "
@@ -559,7 +498,7 @@ def cmd_roa(config):
         % (100 * box.fraction_converged, box.n_samples)
     )
     _write_json(os.path.join(config.output_dir, "roa.json"), payload)
-    return code, payload
+    return code
 
 
 def cmd_reproduce(config):
@@ -589,9 +528,9 @@ def cmd_reproduce(config):
         print("MISMATCHES:")
         for line in mismatches:
             print("  - " + line)
-        return EXIT_MISMATCH, payload
+        return EXIT_MISMATCH
     print("all rows within tolerance")
-    return EXIT_OK, payload
+    return EXIT_OK
 
 
 _COMMANDS = {
@@ -626,8 +565,7 @@ def main(argv=None) -> int:
             return exc.code
         config = config_from_args(args)
         _write_meta(config, argv)
-        code, _ = _COMMANDS[args.command](config)
-        return code
+        return _COMMANDS[args.command](config)
     except ValidationError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

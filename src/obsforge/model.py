@@ -15,12 +15,13 @@ controller spectra are disjoint and the coupling block B_p C_c is nonzero;
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 from .numerics import eig, spectral_abscissa
+from .report import Reported
 
 __all__ = [
     "PlantModel",
@@ -171,7 +172,7 @@ def assemble(plant: PlantModel, controller: ControllerModel) -> ClosedLoop:
 
 
 @dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(Reported):
     """Outcome of the standing-assumption checks with numeric witnesses."""
 
     a_hurwitz: bool
@@ -181,27 +182,17 @@ class AssumptionReport:
     bpcc_nonzero: bool
     bpcc_norm: float
     qp_symmetric: bool
+    all_passed: bool = field(init=False)
 
-    @property
-    def all_passed(self):
-        return (
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "all_passed",
             self.a_hurwitz
             and self.spectra_disjoint
             and self.bpcc_nonzero
-            and self.qp_symmetric
+            and self.qp_symmetric,
         )
-
-    def as_dict(self):
-        return {
-            "a_hurwitz": self.a_hurwitz,
-            "spectral_abscissa": self.spectral_abscissa,
-            "spectra_disjoint": self.spectra_disjoint,
-            "min_eigenvalue_gap": self.min_eigenvalue_gap,
-            "bpcc_nonzero": self.bpcc_nonzero,
-            "bpcc_norm": self.bpcc_norm,
-            "qp_symmetric": self.qp_symmetric,
-            "all_passed": self.all_passed,
-        }
 
 
 def validate_assumptions(plant, controller, closed_loop) -> AssumptionReport:

@@ -110,7 +110,7 @@ def _rel_err(a, b):
     return abs(a - b) / max(1.0, abs(b))
 
 
-def run_reference_case(dt=REFERENCE_DT, T=REFERENCE_T, seed=0):
+def run_reference_case(dt=REFERENCE_DT, T=REFERENCE_T):
     """Recompute the whole pipeline on the bundled case and diff the table.
 
     Returns (results, mismatches); an empty mismatch list means the

@@ -30,6 +30,7 @@ from .numerics import (
     spectral_norm,
 )
 from .observer import coupled_field
+from .report import Reported
 from .sim import integrate_batch
 
 __all__ = [
@@ -50,7 +51,7 @@ DEFAULT_DELTA_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
-class RoaEstimate:
+class RoaEstimate(Reported):
     """Certificate data; ``feasible`` is c2 > 0, never an exception."""
 
     P1: np.ndarray
@@ -65,22 +66,6 @@ class RoaEstimate:
     delta: float | None = None
     level: float | None = None
     notes: tuple = ()
-
-    def as_dict(self):
-        return {
-            "c1": self.c1,
-            "c3": self.c3,
-            "c2": self.c2,
-            "c4": self.c4,
-            "feasible": self.feasible,
-            "delta": self.delta,
-            "level": self.level,
-            "P1": self.P1.tolist(),
-            "P2": self.P2.tolist(),
-            "W1": self.W1.tolist(),
-            "W2": self.W2.tolist(),
-            "notes": list(self.notes),
-        }
 
 
 def _check_weight(W, n, field):
@@ -219,7 +204,7 @@ def _sample_in_ellipsoid(evecs, sqrt_evals, level, rng):
 
 
 @dataclass(frozen=True)
-class DecayReport:
+class DecayReport(Reported):
     n_samples: int
     seed: int
     delta: float
@@ -234,20 +219,6 @@ class DecayReport:
     @property
     def all_satisfied(self):
         return self.fraction_satisfied == 1.0
-
-    def as_dict(self):
-        return {
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "delta": self.delta,
-            "level": self.level,
-            "tol_decay": self.tol_decay,
-            "fraction_satisfied": self.fraction_satisfied,
-            "worst_margin": self.worst_margin,
-            "all_inside": self.all_inside,
-            "n_diverged": self.n_diverged,
-            "per_sample": [dict(s) for s in self.per_sample],
-        }
 
 
 def verify_decay(
@@ -358,7 +329,7 @@ def verify_decay(
 
 
 @dataclass(frozen=True)
-class BoxReport:
+class BoxReport(Reported):
     n_samples: int
     seed: int
     box_halfwidth: float
@@ -371,18 +342,6 @@ class BoxReport:
     @property
     def all_converged(self):
         return self.fraction_converged == 1.0
-
-    def as_dict(self):
-        return {
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "box_halfwidth": self.box_halfwidth,
-            "horizon": self.horizon,
-            "fraction_converged": self.fraction_converged,
-            "max_transient_norm": self.max_transient_norm,
-            "n_diverged": self.n_diverged,
-            "per_sample": [dict(s) for s in self.per_sample],
-        }
 
 
 def monte_carlo_box_check(

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DivergenceError, ValidationError
 from .observer import coupled_field
+from .report import Reported
 
 __all__ = [
     "Trajectory",
@@ -278,7 +279,7 @@ def fit_decay(traj, window=None, fit_slack=FIT_SLACK, series="e"):
 
 
 @dataclass(frozen=True)
-class DecayFit:
+class DecayFit(Reported):
     """Envelope norm(t) <= kappa exp(-alpha t) norm(0) (1 + fit_slack)."""
 
     kappa: float
@@ -287,16 +288,6 @@ class DecayFit:
     window: tuple
     n_points: int
     fit_slack: float
-
-    def as_dict(self):
-        return {
-            "kappa": self.kappa,
-            "alpha": self.alpha,
-            "r_squared": self.r_squared,
-            "window": list(self.window),
-            "n_points": self.n_points,
-            "fit_slack": self.fit_slack,
-        }
 
 
 def trajectory_to_csv(traj, path):

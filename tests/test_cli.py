@@ -110,6 +110,9 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path):
         ["validate", "--horizon", "1", "--out", out],
         ["synthesize", "--bundle", cfg, "--out", out],
         ["roa", "--z0", "0,0", "--out", out],
+        # a bundle carries its own system; a config next to it is refused
+        ["simulate", "--bundle", cfg, "--config", cfg, "--out", out],
+        ["roa", "--bundle", cfg, "--config", cfg, "--out", out],
     ):
         assert cli.main(argv) == cli.EXIT_INPUT, argv
 
@@ -149,6 +152,11 @@ def test_synthesize_reference_reports_infeasible(tmp_path, capsys):
     assert bundle["verification"]["placement_ok"] is True
     assert len(bundle["observer"]["L"]) == 4
     assert len(bundle["attack"]["forbidden_subspaces"]) == 2
+    # the reference spectra are real, yet every pole is stored as {re, im}
+    for key in ("placed_poles", "desired_poles"):
+        poles = bundle["observer"][key]
+        assert len(poles) == 4
+        assert all(isinstance(p, dict) and set(p) == {"re", "im"} for p in poles), key
     text = capsys.readouterr().out
     assert "infeasible" in text
     assert "W1" in text

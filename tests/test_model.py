@@ -40,6 +40,11 @@ def test_validate_assumptions_reference(ref_system):
     assert report.spectral_abscissa == pytest.approx(-3.5, abs=1e-9)
     d = report.as_dict()
     assert d["all_passed"] is True
+    assert set(d) == {
+        "a_hurwitz", "spectral_abscissa", "spectra_disjoint", "min_eigenvalue_gap",
+        "bpcc_nonzero", "bpcc_norm", "qp_symmetric", "all_passed",
+    }
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
 
 
 def test_shared_pole_flagged():

@@ -295,12 +295,22 @@ def test_certify_reports_lyapunov_residual_failure(make_random_system):
     assert any("Lyapunov residual" in note for note in est.notes)
 
 
-def test_reports_serialize_to_json(cert_instance):
+def test_reports_serialize_to_json(cert_instance, make_random_system):
     cl, design, obs, est = cert_instance
     decay = roa.verify_decay(cl, design, obs, est, n_samples=5, seed=7)
     box = roa.monte_carlo_box_check(
         cl, design, obs, box_halfwidth=0.1, n_samples=5, horizon=1.0
     )
-    for payload in (est.as_dict(), decay.as_dict(), box.as_dict()):
-        text = json.dumps(payload)
-        assert isinstance(text, str)
+    # the residual-failure draw above: an infeasible estimate with NaN constants
+    rng = np.random.default_rng(775)
+    _, _, bad_cl = make_random_system(rng)
+    bad_design = attack.build_design(bad_cl, seed=int(rng.integers(0, 2**31)))
+    bad = roa.certify(bad_cl, bad_design, observer.design_gain(bad_design, bad_cl.B))
+    assert math.isnan(bad.c2)
+    for report in (est, decay, box, bad):
+        payload = report.as_dict()
+        assert json.loads(json.dumps(payload, allow_nan=False)) == payload
+    assert bad.as_dict()["c2"] == "nan"
+    # the summary properties stay out of the reports
+    assert "all_satisfied" not in decay.as_dict()
+    assert "all_converged" not in box.as_dict()
