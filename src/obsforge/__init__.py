@@ -55,6 +55,7 @@ from .model import (
 )
 from .observer import (
     AugmentedJacobian,
+    CoupledField,
     ObserverDesign,
     augmented_jacobian,
     coupled_field,
@@ -124,6 +125,7 @@ __all__ = [
     "system_from_dict",
     "validate_assumptions",
     "AugmentedJacobian",
+    "CoupledField",
     "ObserverDesign",
     "augmented_jacobian",
     "coupled_field",

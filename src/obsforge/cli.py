@@ -188,10 +188,21 @@ _SCALAR_FIELDS = {
     "bundle": "bundle",
 }
 _VECTOR_FIELDS = {"pi": "pi_star", "poles": "desired_poles", "z0": "z0", "zhat0": "zhat0"}
+# flags of the design chain, which a reused bundle replaces
+_DESIGN_FLAGS = (
+    "pi", "gamma_fraction", "poles", "y_scale", "w1_scale", "w2_scale", "delta_fraction",
+)
 
 
 def config_from_args(args):
     given = {k: v for k, v in vars(args).items() if v is not None}
+    clash = [d for d in _DESIGN_FLAGS if d in given] if given.get("bundle") else []
+    if clash:
+        raise ValidationError(
+            "%s cannot be used with --bundle, whose stored design is used as is"
+            % ", ".join("--" + d.replace("_", "-") for d in clash),
+            field="bundle",
+        )
     kwargs = {field: given[dest] for dest, field in _SCALAR_FIELDS.items() if dest in given}
     for dest, field in _VECTOR_FIELDS.items():
         if given.get(dest):

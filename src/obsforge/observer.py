@@ -31,6 +31,7 @@ from .numerics import (
 __all__ = [
     "ObserverDesign",
     "AugmentedJacobian",
+    "CoupledField",
     "default_poles",
     "design_gain",
     "gain_from_vector",
@@ -210,31 +211,48 @@ def augmented_jacobian(closed_loop, design, obs) -> AugmentedJacobian:
     return AugmentedJacobian(J_phi=J_phi, J_tilde=J_tilde, T=T)
 
 
-def coupled_field(closed_loop, design, obs):
+@dataclass(frozen=True)
+class CoupledField:
     """Vector field of the coupled system over columns S = [z; zhat].
 
-    In closed form sdot = J_tilde s + (z'Qz) u + (zhat'Q zhat) v with
-    u = [b; -l] and v = [0; b + l], where J_tilde is the (z, zhat) Jacobian
-    of :func:`augmented_jacobian`. Equal to [plant_rhs; observer_rhs] with
-    the corrupted measurement ytilde = z'Qz + Hbar zhat. Returns a function
-    mapping a (2n, m) array, one state per column, to its (2n, m)
-    derivative. The stacked K = [J_tilde; blockdiag(Q, Q)] gives the linear
-    part and the quadratic-form factors [Qz; Q zhat] in one product, and
-    every operation runs along contiguous rows of length m.
+    In closed form sdot = J_tilde s + UV phi(s), where J_tilde is the
+    (z, zhat) Jacobian of :func:`augmented_jacobian`, phi(s) = [z'Qz;
+    zhat'Q zhat] is read off Qb s with Qb = blockdiag(Q, Q), and the two
+    columns of UV are u = [b; -l] and v = [0; b + l]. Calling it maps a
+    (2n, m) array, one state per column, to its (2n, m) derivative. The RK4
+    stepper builds its stage maps from the same three arrays, which are
+    read-only.
+    """
+
+    J_tilde: np.ndarray
+    Qb: np.ndarray
+    UV: np.ndarray
+
+    def __call__(self, S):
+        QS = self.Qb @ S
+        QS *= S
+        phi = QS.reshape(2, -1, S.shape[1]).sum(axis=1)
+        dS = np.matmul(self.J_tilde, S, out=QS)
+        dS += self.UV @ phi
+        return dS
+
+
+def coupled_field(closed_loop, design, obs) -> CoupledField:
+    """The coupled field of a design, equal to [plant_rhs; observer_rhs].
+
+    The observer sees the corrupted measurement ytilde = z'Qz + Hbar zhat
+    rebuilt from the same (z, zhat), which gives the closed form of
+    :class:`CoupledField`.
     """
     n = closed_loop.n
-    Q = closed_loop.Q
-    J = augmented_jacobian(closed_loop, design, obs).J_tilde
-    K = np.vstack([J, np.kron(np.eye(2), Q)])
     b = closed_loop.B[:, 0]
     l = obs.L[:, 0]
     u = np.concatenate([b, -l])
     v = np.concatenate([np.zeros(n), b + l])
+    Qb = np.kron(np.eye(2), closed_loop.Q)
     UV = np.column_stack([u, v])
-
-    def field(S):
-        G = K @ S
-        q = (G[2 * n :] * S).reshape(2, n, -1).sum(axis=1)
-        return G[: 2 * n] + UV @ q
-
-    return field
+    for M in (Qb, UV):
+        M.setflags(write=False)
+    return CoupledField(
+        J_tilde=augmented_jacobian(closed_loop, design, obs).J_tilde, Qb=Qb, UV=UV
+    )

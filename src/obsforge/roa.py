@@ -272,18 +272,19 @@ def verify_decay(
         norm_limit=1e6,
     )
 
-    # analytic Vdot = 2 z'P1 zdot + 2 e'P2 edot, one recorded instant at a time
-    field = coupled_field(closed_loop, design, obs)
-    V = np.empty(Z.shape[:2])
-    Vdot = np.empty(Z.shape[:2])
-    for t in range(len(times)):
-        Zt, Et = Z[t], Zh[t] - Z[t]
-        dS = field(np.concatenate([Zt, Zh[t]], axis=1).T).T
-        dZ = dS[:, :n]
-        dE = dS[:, n:] - dZ
-        P1Z, P2E = Zt @ estimate.P1, Et @ estimate.P2
-        V[t] = np.einsum("ij,ij->i", P1Z, Zt) + np.einsum("ij,ij->i", P2E, Et)
-        Vdot[t] = 2.0 * (np.einsum("ij,ij->i", P1Z, dZ) + np.einsum("ij,ij->i", P2E, dE))
+    # analytic Vdot = 2 x'P xdot with x = (z, e), at every recorded instant
+    # of every sample in one field evaluation; NaN columns stay NaN
+    shape = Z.shape[:2]
+    x = np.empty((2 * n, Z.shape[0] * Z.shape[1]))
+    x[:n] = Z.reshape(-1, n).T
+    x[n:] = Zh.reshape(-1, n).T
+    del Z, Zh  # free the recorded states before the field's temporaries
+    xdot = coupled_field(closed_loop, design, obs)(x)
+    x[n:] -= x[:n]
+    xdot[n:] -= xdot[:n]
+    Px = P @ x
+    V = np.einsum("ir,ir->r", Px, x).reshape(shape)
+    Vdot = 2.0 * np.einsum("ir,ir->r", Px, xdot).reshape(shape)
 
     per_sample = []
     worst = -math.inf

@@ -11,12 +11,15 @@ held between steps. The field lives in :func:`observer.coupled_field`; its
 linear part is the augmented Jacobian J_tilde. Fixed step keeps runs
 deterministic bit-for-bit, which the golden tests rely on.
 
-The field works on columns: it maps a (2n, m) array holding one state
-[z; zhat] per column to its derivative, using one product with the stacked
-K = [J_tilde; blockdiag(Q, Q)] for the linear part and both quadratic
-forms. The stepper therefore holds its state component-major, so every
-array operation runs over contiguous rows of length m; callers still pass
-and receive (samples, 2n) rows.
+In closed form the field is sdot = J_tilde s + UV phi(s), with the two
+quadratic forms phi(s) = [z'Qz; zhat'Q zhat]. Every RK4 stage point is
+then a fixed linear map of the state and the forms of the earlier stages,
+and so is the step result; :func:`_stage_maps` multiplies the tableau out
+into these maps once per run. A step is four matrix products over one
+buffer of states and stage forms, each followed by the forms of its
+columns. The state is held component-major, one sample per column, so
+every array operation runs over contiguous rows of length m; callers still
+pass and receive (samples, 2n) rows.
 
 Batch integration (used by the Monte Carlo checks) runs the same arithmetic
 over a stack of initial conditions; per-sample blow-ups are recorded, not
@@ -77,48 +80,105 @@ class Trajectory:
         return np.linalg.norm(self.z, axis=1)
 
 
+def _stage_maps(field, dt):
+    """RK4 for sdot = J s + UV phi(s) as linear maps of X = [S; phi1; ...; phi4].
+
+    Stage point k is S_k = R_k X, where phi_j = phi(S_j) sits in rows
+    2n + 2(j-1) and 2n + 2j - 1 of X, and the step result is S' = R X. Each
+    map comes back stacked with its Q-factor rows, [R_k; Qb R_k], so one
+    product gives both S_k and Qb S_k, and cut to the leading columns it
+    reads: R_k reads S and the forms of the earlier stages only. Returns the
+    maps of stages 2, 3, 4 and of the step result, whose first rows hold the
+    increment D = R - [I 0] alone: the caller adds S, as RK4 does, because a
+    rounded 1 + O(dt) on the diagonal of R would perturb every step alike
+    and compound over a run.
+    """
+    J, UV = field.J_tilde, field.UV
+    w = J.shape[0]
+    E = np.eye(w, w + 8)  # X -> S
+
+    def slope(R, j):  # the field at S_j = R X, which has phi_j in X
+        K = J @ R
+        K[:, w + 2 * j : w + 2 * j + 2] += UV
+        return K
+
+    k1 = slope(E, 0)
+    R2 = E + 0.5 * dt * k1
+    k2 = slope(R2, 1)
+    R3 = E + 0.5 * dt * k2
+    k3 = slope(R3, 2)
+    R4 = E + dt * k3
+    k4 = slope(R4, 3)
+    D = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    cut = [M[:, : w + 2 * j] for j, M in enumerate((R2, R3, R4), start=1)]
+    return [np.vstack([M, field.Qb @ M]) for M in cut] + [
+        np.vstack([D, field.Qb @ (E + D)])
+    ]
+
+
 def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
     """Shared RK4 core.
 
-    Takes S0 as (n_samples, 2n) rows and steps it component-major, one
-    state per column, as :func:`observer.coupled_field` expects. Returns
-    (times, states, blowup_times) where states has shape
+    Takes S0 as (n_samples, 2n) rows and steps them component-major, one
+    state per column, in the buffer X = [S; phi1; phi2; phi3; phi4] of the
+    states and the quadratic forms of the four stages. A step is four
+    products with the stage maps of :func:`_stage_maps`, each followed by
+    phi = SUM (Qb S_k * S_k) written into its rows of X; the last product
+    gives the next state's increment and its stage-1 factor Qb S together.
+    Returns (times, states, blowup_times) where states has shape
     (n_records, n_samples, 2n); entries after a sample's divergence are NaN
     and blowup_times holds the first instant its norm exceeded the limit
     (NaN for samples that stayed finite).
     """
-    m, width = S0.shape
+    m, w = S0.shape
     rec_idx = list(range(0, n_steps + 1, stride))
     if rec_idx[-1] != n_steps:
         rec_idx.append(n_steps)
     rec_pos = {k: i for i, k in enumerate(rec_idx)}
-    out = np.full((len(rec_idx), m, width), np.nan)
+    out = np.full((len(rec_idx), m, w), np.nan)
     blowup = np.full(m, np.nan)
     alive = np.ones(m, dtype=bool)
     # max |entry| <= safe keeps every column norm under norm_limit / 2, so
     # the per-column norms are needed only on steps that fail this screen
-    safe = 0.5 * norm_limit / np.sqrt(width)
+    safe = 0.5 * norm_limit / np.sqrt(w)
 
-    S = np.array(S0.T, dtype=float, order="C")
+    *stages, step = _stage_maps(field, dt)
+    SUM = np.kron(np.eye(2), np.ones((1, w // 2)))  # (2, 2n) row sums per half
+    X = np.empty((w + 8, m))
+    phi = [X[w + 2 * j : w + 2 * j + 2] for j in range(4)]
+    reads = [X[: M.shape[1]] for M in stages]
+    G = np.empty((2 * w, m))  # [S_k; Qb S_k]
+    S, QS = G[:w], G[w:]
+    P = np.empty((w, m))  # Qb S_k * S_k, and |S| for the screen
+
+    S[:] = S0.T
+    np.matmul(field.Qb, S, out=QS)
     out[0] = S0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            k1 = field(S)
-            k2 = field(S + 0.5 * dt * k1)
-            k3 = field(S + 0.5 * dt * k2)
-            k4 = field(S + dt * k3)
-            S = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            X[:w] = S  # G holds [S; Qb S] from the last product
+            for j in range(4):
+                if j:
+                    np.matmul(stages[j - 1], reads[j - 1], out=G)  # [S_j; Qb S_j]
+                np.multiply(QS, S, out=P)
+                np.matmul(SUM, P, out=phi[j])
+            np.matmul(step, X, out=G)
+            S += X[:w]
 
-            if not np.abs(S).max() <= safe:  # NaN and inf fail this too
+            np.abs(S, out=P)
+            if not P.max() <= safe:  # NaN and inf fail this too
                 norms = np.linalg.norm(S, axis=0)
                 bad = alive & ~(norms <= norm_limit)  # catches inf and NaN too
                 if np.any(bad):
                     blowup[bad] = k * dt
                     alive &= ~bad
-                    S[:, bad] = 0.0  # keep the arithmetic finite for the survivors
+                    G[:, bad] = 0.0  # keep the arithmetic finite for the survivors
             if k in rec_pos:
-                row = out[rec_pos[k]]
-                row[alive] = S.T[alive]
+                if alive.all():
+                    out[rec_pos[k]] = S.T
+                else:
+                    row = out[rec_pos[k]]
+                    row[alive] = S.T[alive]
     times = np.asarray(rec_idx, dtype=float) * dt
     return times, out, blowup
 

@@ -104,6 +104,22 @@ def test_cli_flow_does_not_import_scipy_optimize(tmp_path):
 def test_subcommands_reject_flags_they_do_not_read(tmp_path):
     cfg = _write_config(tmp_path, FEASIBLE_SYSTEM)
     out = str(tmp_path / "o")
+    assert cli.main(["synthesize", "--config", cfg, "--out", out] + FEASIBLE_FLAGS) == 0
+    bundle = os.path.join(out, "bundle.json")
+    # a bundle fixes the design, so the design chain's flags are refused next to it
+    design_flags = (
+        ["--pi", "5"],
+        ["--gamma-fraction", "0.5"],
+        ["--poles=-50,-60"],
+        ["--y-scale", "3"],
+        ["--w1-scale", "7"],
+        ["--w2-scale", "7"],
+        ["--delta-fraction", "0.5"],
+    )
+    for command in ("simulate", "roa"):
+        for flag in design_flags:
+            argv = [command, "--bundle", bundle, "--out", out] + flag
+            assert cli.main(argv) == cli.EXIT_INPUT, argv
     for argv in (
         ["reproduce-paper", "--config", cfg, "--out", out],
         ["validate", "--poles=-1", "--out", out],

@@ -159,6 +159,48 @@ def test_integrate_batch_matches_plain_rk4(ref_system, ref_design, ref_observer)
         assert np.linalg.norm(got - s) <= 1e-12 * np.linalg.norm(s)
 
 
+def _classic_rk4(field, S, dt, n_steps):
+    """Textbook four-stage RK4 on (2n, m) columns, one field call per stage."""
+    for _ in range(n_steps):
+        k1 = field(S)
+        k2 = field(S + 0.5 * dt * k1)
+        k3 = field(S + 0.5 * dt * k2)
+        k4 = field(S + dt * k3)
+        S = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return S
+
+
+@pytest.fixture
+def reference_field(ref_system, ref_design, ref_observer):
+    return observer.coupled_field(ref_system[2], ref_design, ref_observer)
+
+
+@pytest.fixture
+def random_n8_field(make_random_system):
+    _, _, cl = make_random_system(np.random.default_rng(9), n_p=4, n_c=4)
+    design = attack.build_design(cl)
+    return observer.coupled_field(cl, design, observer.design_gain(design, cl.B))
+
+
+# the box check's half-width on the reference design; some samples of the
+# random design (gain norm 132 against 30) blow up from 0.1 within 0.4 s
+@pytest.mark.parametrize("case, amplitude", [("reference_field", 0.5), ("random_n8_field", 0.01)])
+@pytest.mark.parametrize("m", [1, 7, 500])
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+def test_stage_maps_match_classic_rk4(request, case, amplitude, m, dt):
+    # the stage-map stepper against RK4 written out over the same field
+    field = request.getfixturevalue(case)
+    S0 = np.random.default_rng(m).uniform(-amplitude, amplitude, (m, field.J_tilde.shape[0]))
+    n_steps = 40
+    times, states, blowup = sim._rk4_batch(field, S0, dt, n_steps, 8, sim.NORM_LIMIT)
+    assert not np.isfinite(blowup).any()
+    assert np.array_equal(times, dt * np.array([0, 8, 16, 24, 32, 40]))
+    for r, k in enumerate(range(0, n_steps + 1, 8)):
+        ref = _classic_rk4(field, S0.T, dt, k).T
+        err = np.linalg.norm(states[r] - ref, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=1)), (r, err.max())
+
+
 def test_integrate_validates_inputs(ref_system, ref_design, ref_observer):
     _, _, cl = ref_system
     z0 = np.zeros(4)
