@@ -50,44 +50,43 @@ EXIT_MISMATCH = 5
 
 @dataclass
 class RunConfig:
-    """Validated knobs for one pipeline run."""
+    """Validated knobs for one pipeline run.
 
-    system: str | None = None
-    pi_star: list | None = None
+    Each field is named after the argparse dest of its flag, so the parsed
+    arguments map onto it as they are.
+    """
+
+    config: str | None = None
+    pi: list | None = None
     gamma_fraction: float = 0.9
-    Y_scale: float = 0.2
-    desired_poles: list | None = None
-    W1_scale: float = 1.0
-    W2_scale: float = 1.0
+    y_scale: float = 0.2
+    poles: list | None = None
+    w1_scale: float = 1.0
+    w2_scale: float = 1.0
     delta_fraction: float = 0.1
     dt: float = 1e-3
-    T: float = 5.0
+    horizon: float = 5.0
     seed: int = 0
-    output_dir: str = "out"
+    out: str = "out"
     z0: list | None = None
     zhat0: list | None = None
     bundle: str | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.gamma_fraction < 1.0:
-            raise ValidationError(
-                "must lie in (0, 1), got %r" % self.gamma_fraction,
-                field="gamma_fraction",
-            )
-        if not 0.0 < self.delta_fraction < 1.0:
-            raise ValidationError(
-                "must lie in (0, 1), got %r" % self.delta_fraction,
-                field="delta_fraction",
-            )
-        for name in ("Y_scale", "W1_scale", "W2_scale"):
-            if getattr(self, name) <= 0:
+        for name in ("gamma_fraction", "delta_fraction"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValidationError("must lie in (0, 1), got %r" % value, field=name)
+        for name in ("y_scale", "w1_scale", "w2_scale", "dt"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
                 raise ValidationError(
-                    "must be positive, got %r" % getattr(self, name), field=name
+                    "must be positive and finite, got %r" % value, field=name
                 )
-        if self.dt <= 0:
-            raise ValidationError("must be positive, got %r" % self.dt, field="dt")
-        if self.T <= self.dt:
-            raise ValidationError("must exceed dt, got %r" % self.T, field="T")
+        if not self.dt < self.horizon < math.inf:
+            raise ValidationError(
+                "must exceed dt and be finite, got %r" % self.horizon, field="horizon"
+            )
         if self.seed < 0 or int(self.seed) != self.seed:
             raise ValidationError(
                 "must be a nonnegative integer, got %r" % self.seed, field="seed"
@@ -97,11 +96,27 @@ class RunConfig:
 
 def _parse_vector(text, name):
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise ValidationError(
-            "expected comma-separated reals, got %r" % text, field=name
-        ) from None
+        pass
+    raise ValidationError(
+        "expected comma-separated finite reals, got %r" % text, field=name
+    )
+
+
+# flags of the design chain: argparse dest -> (type, help). A reused bundle
+# replaces the whole chain, so these are also the flags refused next to it.
+_DESIGN_FLAGS = {
+    "pi": (str, "target projection direction pi*, comma separated"),
+    "gamma_fraction": (float, "fraction of the stability bound used for the attack scaling"),
+    "poles": (str, "desired observer poles, comma separated"),
+    "y_scale": (float, "Lyapunov weight Y = scale*I"),
+    "w1_scale": (float, "certificate weight W1 = scale*I"),
+    "w2_scale": (float, "certificate weight W2 = scale*I"),
+    "delta_fraction": (float, "decay margin delta as a fraction of c2"),
+}
 
 
 def build_parser():
@@ -137,31 +152,8 @@ def build_parser():
             p.add_argument("--dt", type=float, help="integration step")
             p.add_argument("--horizon", type=float, help="final time")
         if name in ("synthesize", "simulate", "roa"):
-            p.add_argument(
-                "--pi", help="target projection direction pi*, comma separated"
-            )
-            p.add_argument(
-                "--gamma-fraction",
-                type=float,
-                help="fraction of the stability bound used for the attack scaling",
-            )
-            p.add_argument(
-                "--poles", help="desired observer poles, comma separated"
-            )
-            p.add_argument(
-                "--y-scale", type=float, help="Lyapunov weight Y = scale*I"
-            )
-            p.add_argument(
-                "--w1-scale", type=float, help="certificate weight W1 = scale*I"
-            )
-            p.add_argument(
-                "--w2-scale", type=float, help="certificate weight W2 = scale*I"
-            )
-            p.add_argument(
-                "--delta-fraction",
-                type=float,
-                help="decay margin delta as a fraction of c2",
-            )
+            for dest, (kind, help_text) in _DESIGN_FLAGS.items():
+                p.add_argument("--" + dest.replace("_", "-"), type=kind, help=help_text)
         if name == "simulate":
             p.add_argument("--z0", help="initial plant/controller state, comma separated")
             p.add_argument("--zhat0", help="initial observer state, comma separated")
@@ -173,29 +165,8 @@ def build_parser():
     return parser
 
 
-# argparse destination -> RunConfig field
-_SCALAR_FIELDS = {
-    "config": "system",
-    "seed": "seed",
-    "out": "output_dir",
-    "gamma_fraction": "gamma_fraction",
-    "y_scale": "Y_scale",
-    "w1_scale": "W1_scale",
-    "w2_scale": "W2_scale",
-    "delta_fraction": "delta_fraction",
-    "dt": "dt",
-    "horizon": "T",
-    "bundle": "bundle",
-}
-_VECTOR_FIELDS = {"pi": "pi_star", "poles": "desired_poles", "z0": "z0", "zhat0": "zhat0"}
-# flags of the design chain, which a reused bundle replaces
-_DESIGN_FLAGS = (
-    "pi", "gamma_fraction", "poles", "y_scale", "w1_scale", "w2_scale", "delta_fraction",
-)
-
-
 def config_from_args(args):
-    given = {k: v for k, v in vars(args).items() if v is not None}
+    given = {k: v for k, v in vars(args).items() if v is not None and k != "command"}
     clash = [d for d in _DESIGN_FLAGS if d in given] if given.get("bundle") else []
     if clash:
         raise ValidationError(
@@ -203,19 +174,17 @@ def config_from_args(args):
             % ", ".join("--" + d.replace("_", "-") for d in clash),
             field="bundle",
         )
-    kwargs = {field: given[dest] for dest, field in _SCALAR_FIELDS.items() if dest in given}
-    for dest, field in _VECTOR_FIELDS.items():
-        if given.get(dest):
-            kwargs[field] = _parse_vector(given[dest], dest)
-    return RunConfig(**kwargs)
+    for dest in ("pi", "poles", "z0", "zhat0"):
+        if dest in given:  # an empty string means not given
+            given[dest] = _parse_vector(given[dest], dest) if given[dest] else None
+    return RunConfig(**given)
 
 
 def _load_system(config):
-    if config.system is None:
+    if config.config is None:
         log.info("no --config given, using the bundled reference system")
-        plant, controller, cl = refcase.reference_system()
-        return plant, controller, cl
-    plant, controller = model.load_system(config.system)
+        return refcase.reference_system()
+    plant, controller = model.load_system(config.config)
     return plant, controller, model.assemble(plant, controller)
 
 
@@ -230,43 +199,51 @@ def _write_meta(config, argv):
     """Wall-clock and invocation metadata, kept out of the main reports."""
     import time
 
-    os.makedirs(config.output_dir, exist_ok=True)
+    os.makedirs(config.out, exist_ok=True)
     meta = {
         "argv": list(argv),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "seed": config.seed,
     }
-    with open(os.path.join(config.output_dir, "run_meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(config.out, "run_meta.json"), meta)
+
+
+def _stored_knobs(config):
+    """The knobs a bundle stores, under its "config" keys."""
+    return {
+        "gamma_fraction": config.gamma_fraction,
+        "Y_scale": config.y_scale,
+        "W1_scale": config.w1_scale,
+        "W2_scale": config.w2_scale,
+        "delta_fraction": config.delta_fraction,
+        "seed": config.seed,
+    }
+
+
+def _certify(cl, design, obs, knobs):
+    """The certificate for the weights of a bundle's "config" section."""
+    return roa.certify(
+        cl,
+        design,
+        obs,
+        W1=knobs["W1_scale"] * np.eye(cl.n),
+        W2=knobs["W2_scale"] * np.eye(cl.n),
+        delta_fraction=knobs["delta_fraction"],
+    )
 
 
 def _design_pipeline(config, cl):
     """Shared synthesis chain: attack row, observer gain, certificate."""
-    n = cl.n
-    Y = config.Y_scale * np.eye(n)
     design = attack.build_design(
         cl,
-        pi_star=np.array(config.pi_star, dtype=float) if config.pi_star else None,
+        pi_star=np.array(config.pi, dtype=float) if config.pi else None,
         gamma_fraction=config.gamma_fraction,
-        Y=Y,
+        Y=config.y_scale * np.eye(cl.n),
         seed=config.seed,
     )
-    desired = (
-        np.array(config.desired_poles, dtype=float)
-        if config.desired_poles
-        else None
-    )
+    desired = np.array(config.poles, dtype=float) if config.poles else None
     obs = observer.design_gain(design, cl.B, desired_poles=desired)
-    est = roa.certify(
-        cl,
-        design,
-        obs,
-        W1=config.W1_scale * np.eye(n),
-        W2=config.W2_scale * np.eye(n),
-        delta_fraction=config.delta_fraction,
-    )
-    return design, obs, est
+    return design, obs, _certify(cl, design, obs, _stored_knobs(config))
 
 
 def _verification_flags(cl, design, obs, est):
@@ -288,14 +265,7 @@ def _verification_flags(cl, design, obs, est):
 def _bundle_payload(config, plant, controller, cl, design, obs, est):
     return {
         "system": {"plant": plant, "controller": controller},
-        "config": {
-            "gamma_fraction": config.gamma_fraction,
-            "Y_scale": config.Y_scale,
-            "W1_scale": config.W1_scale,
-            "W2_scale": config.W2_scale,
-            "delta_fraction": config.delta_fraction,
-            "seed": config.seed,
-        },
+        "config": _stored_knobs(config),
         "attack": {
             "pi_star": design.pi_star,
             "gamma_max": design.gamma_max,
@@ -326,31 +296,77 @@ def _bundle_payload(config, plant, controller, cl, design, obs, est):
     }
 
 
+def _from_bundle(payload, path, convert=lambda value: value):
+    """``convert`` of the entry at dotted ``path`` of a bundle payload.
+
+    A missing entry, a non-object on the way, or a value ``convert`` rejects
+    raises ValidationError naming the field, e.g. ``bundle.attack.pi``.
+    """
+    value, field = payload, "bundle"
+    for key in path.split("."):
+        if not isinstance(value, dict):
+            raise ValidationError("expected a JSON object", field=field)
+        field += "." + key
+        if key not in value:
+            raise ValidationError("missing", field=field)
+        value = value[key]
+    try:
+        return convert(value)
+    except (KeyError, TypeError, ValueError):
+        raise ValidationError("expected numbers", field=field) from None
+
+
+def _floats(value):
+    return np.array(value, dtype=float)
+
+
 def load_bundle(path):
-    """Rebuild (payload, cl, design, obs) from a bundle JSON.
+    """Rebuild (cl, design, obs, est) from a bundle JSON.
 
     The stored pi and L are used verbatim, so a reloaded bundle reproduces
-    the original design bit for bit; verification flags are recomputed and
-    must match the stored ones.
+    the original design bit for bit. The certificate is recomputed from the
+    stored weights, and the verification flags are recomputed and must match
+    the stored ones. A malformed bundle raises ValidationError naming the
+    field, e.g. ``bundle.observer``.
     """
     with open(path) as fh:
         payload = json.load(fh)
-    plant, controller = model.system_from_dict(payload["system"])
+    plant, controller = model.system_from_dict(_from_bundle(payload, "system"))
     cl = model.assemble(plant, controller)
-    pi = np.array(payload["attack"]["pi"], dtype=float)
     design = attack.design_from_pi(
         cl,
-        pi,
-        pi_star=np.array(payload["attack"]["pi_star"], dtype=float),
-        gamma=payload["attack"]["gamma"],
-        gamma_max=payload["attack"]["gamma_max"],
+        _from_bundle(payload, "attack.pi", _floats),
+        pi_star=_from_bundle(payload, "attack.pi_star", _floats),
+        gamma=_from_bundle(payload, "attack.gamma", float),
+        gamma_max=_from_bundle(payload, "attack.gamma_max", float),
     )
-    L = np.array(payload["observer"]["L"], dtype=float).reshape(-1, 1)
-    desired = np.array(
-        [p["re"] + 1j * p["im"] for p in payload["observer"]["desired_poles"]]
+    L = _from_bundle(payload, "observer.L", _floats).reshape(-1, 1)
+    desired = _from_bundle(
+        payload,
+        "observer.desired_poles",
+        lambda poles: np.array([p["re"] + 1j * p["im"] for p in poles]),
     )
+    for key, value in (("L", L), ("desired_poles", desired)):
+        if value.size != cl.n:
+            raise ValidationError(
+                "expected %d entries, got %d" % (cl.n, value.size),
+                field="bundle.observer." + key,
+            )
     obs = observer.gain_from_vector(design, cl.B, L, desired)
-    return payload, cl, design, obs
+    knobs = {
+        k: _from_bundle(payload, "config." + k, float)
+        for k in ("W1_scale", "W2_scale", "delta_fraction")
+    }
+    est = _certify(cl, design, obs, knobs)
+    flags = _verification_flags(cl, design, obs, est)
+    stored = {k: _from_bundle(payload, "verification." + k) for k in flags}
+    diffs = {k: (stored[k], v) for k, v in flags.items() if stored[k] != v}
+    if diffs:
+        raise ValidationError(
+            "re-verification of the bundle changed flags: %s" % diffs,
+            field="bundle",
+        )
+    return cl, design, obs, est
 
 
 def cmd_validate(config):
@@ -366,8 +382,7 @@ def cmd_validate(config):
     print("assumption checks")
     for label, ok in rows:
         print("  %-*s  %s" % (width, label, "pass" if ok else "FAIL"))
-    os.makedirs(config.output_dir, exist_ok=True)
-    _write_json(os.path.join(config.output_dir, "assumptions.json"), report)
+    _write_json(os.path.join(config.out, "assumptions.json"), report)
     return EXIT_OK if report.all_passed else EXIT_ASSUMPTION
 
 
@@ -379,8 +394,7 @@ def cmd_synthesize(config):
         return EXIT_ASSUMPTION
     design, obs, est = _design_pipeline(config, cl)
     payload = _bundle_payload(config, plant, controller, cl, design, obs, est)
-    os.makedirs(config.output_dir, exist_ok=True)
-    _write_json(os.path.join(config.output_dir, "bundle.json"), payload)
+    _write_json(os.path.join(config.out, "bundle.json"), payload)
     print("gamma_max = %.6g, gamma = %.6g" % (design.gamma_max, design.gamma))
     print("pi = %s" % np.array2string(design.pi, precision=6))
     print("L  = %s" % np.array2string(obs.L[:, 0], precision=6))
@@ -405,13 +419,13 @@ def cmd_synthesize(config):
 def _default_initial(config, cl):
     if config.z0 is not None:
         z0 = np.array(config.z0, dtype=float)
-    elif config.system is None and cl.n == len(refcase.REFERENCE_Z0):
+    elif config.config is None and cl.n == len(refcase.REFERENCE_Z0):
         z0 = np.array(refcase.REFERENCE_Z0)
     else:
         z0 = 0.1 * np.array([(-1.0) ** i for i in range(cl.n)])
     if config.zhat0 is not None:
         zhat0 = np.array(config.zhat0, dtype=float)
-    elif config.system is None and cl.n == len(refcase.REFERENCE_ZHAT0):
+    elif config.config is None and cl.n == len(refcase.REFERENCE_ZHAT0):
         zhat0 = np.array(refcase.REFERENCE_ZHAT0)
     else:
         zhat0 = -z0
@@ -424,56 +438,37 @@ def _default_initial(config, cl):
 
 def _design_for_run(config):
     """Either reuse a stored bundle or run the synthesis chain."""
-    if not config.bundle:
-        _, _, cl = _load_system(config)
-        return (cl,) + _design_pipeline(config, cl)
-    payload, cl, design, obs = load_bundle(config.bundle)
-    weights = payload["config"]
-    est = roa.certify(
-        cl,
-        design,
-        obs,
-        W1=weights["W1_scale"] * np.eye(cl.n),
-        W2=weights["W2_scale"] * np.eye(cl.n),
-        delta_fraction=weights["delta_fraction"],
-    )
-    flags = _verification_flags(cl, design, obs, est)
-    stored = payload.get("verification", {})
-    diffs = {k: (stored.get(k), v) for k, v in flags.items() if stored.get(k) != v}
-    if diffs:
-        raise ValidationError(
-            "re-verification of the bundle changed flags: %s" % diffs,
-            field="bundle",
-        )
-    return cl, design, obs, est
+    if config.bundle:
+        return load_bundle(config.bundle)
+    _, _, cl = _load_system(config)
+    return (cl,) + _design_pipeline(config, cl)
 
 
 def cmd_simulate(config):
     cl, design, obs, est = _design_for_run(config)
     z0, zhat0 = _default_initial(config, cl)
-    traj = sim.integrate(cl, design, obs, z0, zhat0, dt=config.dt, T=config.T)
+    traj = sim.integrate(cl, design, obs, z0, zhat0, dt=config.dt, T=config.horizon)
     try:
         fit = sim.fit_decay(traj)
     except ValidationError:
         fit = None  # identically zero error; the trajectory is still exported
-    os.makedirs(config.output_dir, exist_ok=True)
-    csv_path = os.path.join(config.output_dir, "trajectory.csv")
+    csv_path = os.path.join(config.out, "trajectory.csv")
     sim.trajectory_to_csv(traj, csv_path)
     sim.write_gnuplot_stub(
-        "trajectory.csv", os.path.join(config.output_dir, "plot_trajectory.gp"), cl.n
+        "trajectory.csv", os.path.join(config.out, "plot_trajectory.gp"), cl.n
     )
     e0 = float(np.linalg.norm(zhat0 - z0))
     payload = {
         "z0": z0,
         "zhat0": zhat0,
         "dt": config.dt,
-        "T": config.T,
+        "T": config.horizon,
         "final_error_norm": float(traj.e_norm[-1]),
         "final_state_norm": float(traj.z_norm[-1]),
         "error_ratio": float(traj.e_norm[-1] / e0) if e0 > 0 else 0.0,
         "decay_fit": fit,
     }
-    _write_json(os.path.join(config.output_dir, "simulate.json"), payload)
+    _write_json(os.path.join(config.out, "simulate.json"), payload)
     rate = "alpha = %.4g" % fit.alpha if fit is not None else "no decay fit"
     print(
         "integrated %d steps; final ||e|| = %.3e, %s"
@@ -484,9 +479,8 @@ def cmd_simulate(config):
 
 def cmd_roa(config):
     cl, design, obs, est = _design_for_run(config)
-    os.makedirs(config.output_dir, exist_ok=True)
     box = roa.monte_carlo_box_check(
-        cl, design, obs, horizon=config.T, seed=config.seed, dt=config.dt
+        cl, design, obs, horizon=config.horizon, seed=config.seed, dt=config.dt
     )
     payload = {"estimate": est, "box_check": box, "decay_check": None}
     code = EXIT_OK
@@ -508,15 +502,14 @@ def cmd_roa(config):
         "box check: %.1f%% of %d samples converged"
         % (100 * box.fraction_converged, box.n_samples)
     )
-    _write_json(os.path.join(config.output_dir, "roa.json"), payload)
+    _write_json(os.path.join(config.out, "roa.json"), payload)
     return code
 
 
 def cmd_reproduce(config):
-    results, mismatches = refcase.run_reference_case(dt=config.dt, T=config.T)
-    os.makedirs(config.output_dir, exist_ok=True)
+    results, mismatches = refcase.run_reference_case(dt=config.dt, T=config.horizon)
     payload = {"results": results, "mismatches": mismatches}
-    _write_json(os.path.join(config.output_dir, "reproduce.json"), payload)
+    _write_json(os.path.join(config.out, "reproduce.json"), payload)
     expected = refcase.expected_values()
     rows = [
         ("closed-loop spectrum", "dist %.2e (tol %.0e)" % (
@@ -575,12 +568,9 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # unknown or misplaced flag (2), --help (0)
             return exc.code
         config = config_from_args(args)
-        _write_meta(config, argv)
+        _write_meta(config, argv)  # also creates the output directory
         return _COMMANDS[args.command](config)
-    except ValidationError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except DivergenceError as exc:

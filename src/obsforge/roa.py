@@ -381,43 +381,41 @@ def monte_carlo_box_check(
         np.einsum("tsi,tsi->ts", Z, Z) + np.einsum("tsi,tsi->ts", E, E)
     )
 
-    per_sample = []
-    n_conv = 0
-    max_transient = 0.0
-    for i in range(n_samples):
-        ci = combined[:, i]
-        diverged = bool(np.isfinite(blowup[i]))
-        initial = float(ci[0])
-        final = float(ci[-1]) if np.isfinite(ci[-1]) else math.inf
-        if diverged:
-            converged = False
-        elif initial == 0.0:
-            converged = final == 0.0
-        else:
-            converged = final < 1e-3 * initial
-        transient = float(np.nanmax(ci)) if np.isfinite(ci).any() else math.inf
-        max_transient = max(max_transient, transient)
-        n_conv += bool(converged)
-        per_sample.append(
-            {
-                "index": i,
-                "converged": bool(converged),
-                "initial_norm": initial,
-                "final_norm": final,
-                "peak_norm": transient,
-                "diverged": diverged,
-                "blowup_time": float(blowup[i]) if diverged else None,
-            }
-        )
+    # one column per sample; records after a blow-up are NaN, so a diverged
+    # sample's final norm reads inf, and so does its peak if no record is finite
+    diverged = np.isfinite(blowup)
+    initial = combined[0]
+    final = np.where(np.isfinite(combined[-1]), combined[-1], math.inf)
+    converged = ~diverged & np.where(
+        initial == 0.0, final == 0.0, final < 1e-3 * initial
+    )
+    peak = np.fmax.reduce(combined, axis=0)
+    peak[np.isnan(peak)] = math.inf
+    columns = zip(
+        converged.tolist(), initial.tolist(), final.tolist(), peak.tolist(),
+        diverged.tolist(), blowup.tolist(),
+    )
+    per_sample = tuple(
+        {
+            "index": i,
+            "converged": conv,
+            "initial_norm": start,
+            "final_norm": end,
+            "peak_norm": top,
+            "diverged": div,
+            "blowup_time": t if div else None,
+        }
+        for i, (conv, start, end, top, div, t) in enumerate(columns)
+    )
     return BoxReport(
         n_samples=n_samples,
         seed=seed,
         box_halfwidth=w,
         horizon=float(horizon),
-        fraction_converged=n_conv / n_samples if n_samples else 1.0,
-        max_transient_norm=max_transient,
-        n_diverged=int(np.isfinite(blowup).sum()),
-        per_sample=tuple(per_sample),
+        fraction_converged=int(converged.sum()) / n_samples if n_samples else 1.0,
+        max_transient_norm=float(peak.max(initial=0.0)),
+        n_diverged=int(diverged.sum()),
+        per_sample=per_sample,
     )
 
 

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -326,3 +327,68 @@ def test_invalid_log_level_is_input_error(tmp_path, monkeypatch, capsys):
     code = cli.main(["validate", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "OBS_FORGE_LOG" in capsys.readouterr().err
+
+
+def test_subcommand_flag_sets(capsys):
+    expected = {
+        "validate": {"--help", "--config", "--seed", "--out"},
+        "synthesize": {
+            "--help", "--config", "--seed", "--out", "--pi", "--gamma-fraction",
+            "--poles", "--y-scale", "--w1-scale", "--w2-scale", "--delta-fraction",
+        },
+        "simulate": {
+            "--help", "--config", "--bundle", "--seed", "--out", "--dt", "--horizon",
+            "--pi", "--gamma-fraction", "--poles", "--y-scale", "--w1-scale",
+            "--w2-scale", "--delta-fraction", "--z0", "--zhat0",
+        },
+        "roa": {
+            "--help", "--config", "--bundle", "--seed", "--out", "--dt", "--horizon",
+            "--pi", "--gamma-fraction", "--poles", "--y-scale", "--w1-scale",
+            "--w2-scale", "--delta-fraction",
+        },
+        "reproduce-paper": {"--help", "--seed", "--out", "--dt", "--horizon"},
+    }
+    for command, flags in expected.items():
+        assert cli.main([command, "--help"]) == 0
+        assert set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out)) == flags, command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synthesize", "--y-scale", "inf"],
+        ["synthesize", "--w1-scale", "inf"],
+        ["synthesize", "--pi=nan,1"],
+        ["simulate", "--horizon", "inf"],
+        ["synthesize", "--poles=nan,-1,-2,-3"],
+        ["simulate", "--z0=nan,0,0,0"],
+    ],
+)
+def test_non_finite_knobs_are_input_errors(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("input error:") for line in err), err
+
+
+def test_malformed_bundle_is_input_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, FEASIBLE_SYSTEM)
+    out = str(tmp_path / "o")
+    assert cli.main(["synthesize", "--config", cfg, "--out", out] + FEASIBLE_FLAGS) == 0
+    bundle = _read_json(os.path.join(out, "bundle.json"))
+    no_observer = {k: v for k, v in bundle.items() if k != "observer"}
+    text_pi = copy.deepcopy(bundle)
+    text_pi["attack"]["pi"] = ["one"]
+    long_gain = copy.deepcopy(bundle)
+    long_gain["observer"]["L"].append(1.0)
+    capsys.readouterr()
+    for path, field in (
+        (cfg, "bundle.system"),  # a system definition, not a bundle
+        (_write_config(tmp_path, [bundle], "list.json"), "bundle:"),
+        (_write_config(tmp_path, no_observer, "no_observer.json"), "bundle.observer"),
+        (_write_config(tmp_path, text_pi, "text_pi.json"), "bundle.attack.pi"),
+        (_write_config(tmp_path, long_gain, "long_gain.json"), "bundle.observer.L"),
+    ):
+        for command in ("simulate", "roa"):
+            argv = [command, "--bundle", path, "--out", out]
+            assert cli.main(argv) == cli.EXIT_INPUT, argv
+            assert field in capsys.readouterr().err, argv

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from obsforge import attack, observer, roa
+from obsforge import attack, observer, roa, sim
 from obsforge.errors import AssumptionError, SynthesisError, ValidationError
 from obsforge.numerics import is_hurwitz
 
@@ -250,6 +250,52 @@ def test_box_check_records_divergence(ref_system, ref_design, ref_observer):
         if sample["diverged"]:
             assert isinstance(sample["blowup_time"], float)
             assert not sample["converged"]
+
+
+@pytest.mark.parametrize("halfwidth", [1e5, 0.0, 0.5])
+def test_box_check_per_sample_matches_loop(ref_system, ref_design, ref_observer, halfwidth):
+    """The column reductions give the verdicts of a per-sample loop, exactly."""
+    _, _, cl = ref_system
+    n, m, seed = cl.n, 8, 3
+    report = roa.monte_carlo_box_check(
+        cl, ref_design, ref_observer, box_halfwidth=halfwidth, n_samples=m,
+        horizon=5.0, seed=seed,
+    )
+    states = np.array([
+        np.random.default_rng((seed, i)).uniform(-halfwidth, halfwidth, 2 * n)
+        for i in range(m)
+    ])
+    _, Z, Zh, blowup = sim.integrate_batch(
+        cl, ref_design, ref_observer, states[:, :n], states[:, n:], dt=1e-3, T=5.0,
+        stride=50, norm_limit=1e6,
+    )
+    E = Zh - Z
+    combined = np.sqrt(np.einsum("tsi,tsi->ts", Z, Z) + np.einsum("tsi,tsi->ts", E, E))
+    expected = []
+    for i in range(m):
+        ci = combined[:, i]
+        diverged = bool(np.isfinite(blowup[i]))
+        initial = float(ci[0])
+        final = float(ci[-1]) if np.isfinite(ci[-1]) else math.inf
+        if diverged:
+            converged = False
+        elif initial == 0.0:
+            converged = final == 0.0
+        else:
+            converged = final < 1e-3 * initial
+        expected.append({
+            "index": i,
+            "converged": converged,
+            "initial_norm": initial,
+            "final_norm": final,
+            "peak_norm": float(np.nanmax(ci)) if np.isfinite(ci).any() else math.inf,
+            "diverged": diverged,
+            "blowup_time": float(blowup[i]) if diverged else None,
+        })
+    assert report.per_sample == tuple(expected)
+    assert report.max_transient_norm == max([0.0] + [s["peak_norm"] for s in expected])
+    assert report.n_diverged == sum(s["diverged"] for s in expected)
+    assert report.fraction_converged == sum(s["converged"] for s in expected) / m
 
 
 def test_box_check_reference_subset_converges(ref_system, ref_design, ref_observer):
