@@ -16,141 +16,25 @@ observer   gain placement on the induced pair, rhs fields, Jacobians
 roa        Lyapunov certificate, constants, Monte Carlo verification
 sim        fixed-step integration, decay fits, CSV/plot emission
 numerics   eigen/Lyapunov/placement primitives shared by the above
+errors     exception taxonomy the CLI maps onto exit codes
 refcase    bundled fourth-order benchmark with frozen expected values
 report     the one conversion of results to report JSON
 cli        obs-forge command-line front end
 """
 
-from . import attack, model, numerics, observer, refcase, roa, sim
-from .attack import (
-    AttackDesign,
-    ForbiddenSet,
-    ForbiddenSubspace,
-    ObservabilityResult,
-    attack_signal,
-    build_design,
-    choose_pi_star,
-    design_from_pi,
-    forbidden_set,
-    gamma_max,
-    is_observable,
-)
-from .errors import (
-    AssumptionError,
-    ConditioningWarning,
-    DivergenceError,
-    NumericError,
-    SynthesisError,
-    ValidationError,
-)
-from .model import (
-    AssumptionReport,
-    ClosedLoop,
-    ControllerModel,
-    PlantModel,
-    assemble,
-    load_system,
-    system_from_dict,
-    validate_assumptions,
-)
-from .observer import (
-    AugmentedJacobian,
-    CoupledField,
-    ObserverDesign,
-    augmented_jacobian,
-    coupled_field,
-    default_poles,
-    design_gain,
-    error_rhs,
-    gain_from_vector,
-    observer_rhs,
-    plant_rhs,
-)
-from .roa import (
-    BoxReport,
-    DecayReport,
-    RoaEstimate,
-    certify,
-    lyapunov_pairs,
-    lyapunov_value,
-    monte_carlo_box_check,
-    roa_constants,
-    roa_level,
-    verify_decay,
-)
-from .sim import (
-    DecayFit,
-    Trajectory,
-    fit_decay,
-    integrate,
-    integrate_batch,
-    trajectory_to_csv,
-    write_gnuplot_stub,
-)
+from . import attack, errors, model, numerics, observer, refcase, roa, sim
+from .attack import *  # noqa: F401,F403 -- each module's __all__ is its API
+from .errors import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .observer import *  # noqa: F401,F403
+from .roa import *  # noqa: F401,F403
+from .sim import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "attack",
-    "cli",
-    "model",
-    "numerics",
-    "observer",
-    "refcase",
-    "roa",
-    "sim",
-    "AttackDesign",
-    "ForbiddenSet",
-    "ForbiddenSubspace",
-    "ObservabilityResult",
-    "attack_signal",
-    "build_design",
-    "choose_pi_star",
-    "design_from_pi",
-    "forbidden_set",
-    "gamma_max",
-    "is_observable",
-    "AssumptionError",
-    "ConditioningWarning",
-    "DivergenceError",
-    "NumericError",
-    "SynthesisError",
-    "ValidationError",
-    "AssumptionReport",
-    "ClosedLoop",
-    "ControllerModel",
-    "PlantModel",
-    "assemble",
-    "load_system",
-    "system_from_dict",
-    "validate_assumptions",
-    "AugmentedJacobian",
-    "CoupledField",
-    "ObserverDesign",
-    "augmented_jacobian",
-    "coupled_field",
-    "default_poles",
-    "design_gain",
-    "error_rhs",
-    "gain_from_vector",
-    "observer_rhs",
-    "plant_rhs",
-    "BoxReport",
-    "DecayReport",
-    "RoaEstimate",
-    "certify",
-    "lyapunov_pairs",
-    "lyapunov_value",
-    "monte_carlo_box_check",
-    "roa_constants",
-    "roa_level",
-    "verify_decay",
-    "DecayFit",
-    "Trajectory",
-    "fit_decay",
-    "integrate",
-    "integrate_batch",
-    "trajectory_to_csv",
-    "write_gnuplot_stub",
+    "attack", "cli", "model", "numerics", "observer", "refcase", "roa", "sim",
+    *attack.__all__, *errors.__all__, *model.__all__,
+    *observer.__all__, *roa.__all__, *sim.__all__,
     "__version__",
 ]

@@ -33,6 +33,7 @@ __all__ = [
     "ForbiddenSubspace",
     "ForbiddenSet",
     "AttackDesign",
+    "ObservabilityResult",
     "forbidden_set",
     "is_observable",
     "choose_pi_star",

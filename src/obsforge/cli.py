@@ -128,19 +128,9 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "validate": "check the standing assumptions on a system definition",
-        "synthesize": "design the attack row, observer gain, and certificate",
-        "simulate": "integrate the attacked loop plus observer and fit decay",
-        "roa": "compute the certificate and Monte Carlo checks",
-        "reproduce-paper": (
-            "re-run the bundled reference design and diff against the frozen "
-            "expected values"
-        ),
-    }
     # each subcommand registers only the flags it reads; defaults live in
     # RunConfig, and an omitted flag stays None so config_from_args skips it
-    for name, help_text in specs.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name != "reproduce-paper":
             # a bundle carries its own system, so it excludes --config
@@ -208,27 +198,19 @@ def _write_meta(config, argv):
     _write_json(os.path.join(config.out, "run_meta.json"), meta)
 
 
-def _stored_knobs(config):
-    """The knobs a bundle stores, under its "config" keys."""
-    return {
-        "gamma_fraction": config.gamma_fraction,
-        "Y_scale": config.y_scale,
-        "W1_scale": config.w1_scale,
-        "W2_scale": config.w2_scale,
-        "delta_fraction": config.delta_fraction,
-        "seed": config.seed,
-    }
+# the knobs a bundle stores under "config"; each key lowercased is its RunConfig field
+_STORED_KEYS = ("gamma_fraction", "Y_scale", "W1_scale", "W2_scale", "delta_fraction", "seed")
 
 
-def _certify(cl, design, obs, knobs):
-    """The certificate for the weights of a bundle's "config" section."""
+def _certify(cl, design, obs, config):
+    """The certificate for the weight knobs of ``config``."""
     return roa.certify(
         cl,
         design,
         obs,
-        W1=knobs["W1_scale"] * np.eye(cl.n),
-        W2=knobs["W2_scale"] * np.eye(cl.n),
-        delta_fraction=knobs["delta_fraction"],
+        W1=config.w1_scale * np.eye(cl.n),
+        W2=config.w2_scale * np.eye(cl.n),
+        delta_fraction=config.delta_fraction,
     )
 
 
@@ -243,7 +225,7 @@ def _design_pipeline(config, cl):
     )
     desired = np.array(config.poles, dtype=float) if config.poles else None
     obs = observer.design_gain(design, cl.B, desired_poles=desired)
-    return design, obs, _certify(cl, design, obs, _stored_knobs(config))
+    return design, obs, _certify(cl, design, obs, config)
 
 
 def _verification_flags(cl, design, obs, est):
@@ -265,7 +247,7 @@ def _verification_flags(cl, design, obs, est):
 def _bundle_payload(config, plant, controller, cl, design, obs, est):
     return {
         "system": {"plant": plant, "controller": controller},
-        "config": _stored_knobs(config),
+        "config": {key: getattr(config, key.lower()) for key in _STORED_KEYS},
         "attack": {
             "pi_star": design.pi_star,
             "gamma_max": design.gamma_max,
@@ -353,10 +335,14 @@ def load_bundle(path):
                 field="bundle.observer." + key,
             )
     obs = observer.gain_from_vector(design, cl.B, L, desired)
-    knobs = {
-        k: _from_bundle(payload, "config." + k, float)
-        for k in ("W1_scale", "W2_scale", "delta_fraction")
-    }
+    keys = {k.lower(): k for k in ("W1_scale", "W2_scale", "delta_fraction")}
+    values = {f: _from_bundle(payload, "config." + k, float) for f, k in keys.items()}
+    try:  # RunConfig's own rules, reported under the bundle's key
+        knobs = RunConfig(**values)
+    except ValidationError as exc:
+        raise ValidationError(
+            str(exc).split(": ", 1)[1], field="bundle.config." + keys[exc.field]
+        ) from None
     est = _certify(cl, design, obs, knobs)
     flags = _verification_flags(cl, design, obs, est)
     stored = {k: _from_bundle(payload, "verification." + k) for k in flags}
@@ -417,15 +403,19 @@ def cmd_synthesize(config):
 
 
 def _default_initial(config, cl):
+    """z0 and zhat0 as given, else the reference case's for its loop, else +-0.1."""
+    if config.z0 is None or config.zhat0 is None:
+        ref = refcase.reference_system()[2]
+        is_ref = all(np.array_equal(getattr(cl, k), getattr(ref, k)) for k in "ABQ")
     if config.z0 is not None:
         z0 = np.array(config.z0, dtype=float)
-    elif config.config is None and cl.n == len(refcase.REFERENCE_Z0):
+    elif is_ref:
         z0 = np.array(refcase.REFERENCE_Z0)
     else:
         z0 = 0.1 * np.array([(-1.0) ** i for i in range(cl.n)])
     if config.zhat0 is not None:
         zhat0 = np.array(config.zhat0, dtype=float)
-    elif config.config is None and cl.n == len(refcase.REFERENCE_ZHAT0):
+    elif is_ref:
         zhat0 = np.array(refcase.REFERENCE_ZHAT0)
     else:
         zhat0 = -z0
@@ -537,12 +527,16 @@ def cmd_reproduce(config):
     return EXIT_OK
 
 
+# subcommand name -> (handler, help), in the order --help lists them
 _COMMANDS = {
-    "validate": cmd_validate,
-    "synthesize": cmd_synthesize,
-    "simulate": cmd_simulate,
-    "roa": cmd_roa,
-    "reproduce-paper": cmd_reproduce,
+    "validate": (cmd_validate, "check the standing assumptions on a system definition"),
+    "synthesize": (cmd_synthesize, "design the attack row, observer gain, and certificate"),
+    "simulate": (cmd_simulate, "integrate the attacked loop plus observer and fit decay"),
+    "roa": (cmd_roa, "compute the certificate and Monte Carlo checks"),
+    "reproduce-paper": (
+        cmd_reproduce,
+        "re-run the bundled reference design and diff against the frozen expected values",
+    ),
 }
 
 
@@ -569,7 +563,7 @@ def main(argv=None) -> int:
             return exc.code
         config = config_from_args(args)
         _write_meta(config, argv)  # also creates the output directory
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command][0](config)
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

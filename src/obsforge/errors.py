@@ -5,6 +5,15 @@ bad input data, broken model assumptions, numerical failure, synthesis
 failure, and trajectory blow-up.
 """
 
+__all__ = [
+    "ValidationError",
+    "AssumptionError",
+    "NumericError",
+    "SynthesisError",
+    "DivergenceError",
+    "ConditioningWarning",
+]
+
 
 class ValidationError(ValueError):
     """Malformed or inconsistent input data.

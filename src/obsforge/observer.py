@@ -231,7 +231,7 @@ class CoupledField:
     def __call__(self, S):
         QS = self.Qb @ S
         QS *= S
-        phi = QS.reshape(2, -1, S.shape[1]).sum(axis=1)
+        phi = QS.reshape(2, S.shape[0] // 2, S.shape[1]).sum(axis=1)
         dS = np.matmul(self.J_tilde, S, out=QS)
         dS += self.UV @ phi
         return dS

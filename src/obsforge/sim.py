@@ -166,7 +166,7 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
             S += X[:w]
 
             np.abs(S, out=P)
-            if not P.max() <= safe:  # NaN and inf fail this too
+            if not P.max(initial=0.0) <= safe:  # NaN and inf fail this too
                 norms = np.linalg.norm(S, axis=0)
                 bad = alive & ~(norms <= norm_limit)  # catches inf and NaN too
                 if np.any(bad):

@@ -1,17 +1,37 @@
 """End-to-end tests of the obs-forge command line front end."""
 
+import ast
 import copy
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 import obsforge
 from obsforge import cli, refcase
+
+# obsforge.__all__: the submodules, the layers' public names, the version
+PUBLIC_API = {
+    "attack", "cli", "model", "numerics", "observer", "refcase", "roa", "sim",
+    "AssumptionError", "AssumptionReport", "AttackDesign", "AugmentedJacobian",
+    "BoxReport", "ClosedLoop", "ConditioningWarning", "ControllerModel",
+    "CoupledField", "DecayFit", "DecayReport", "DivergenceError", "ForbiddenSet",
+    "ForbiddenSubspace", "NumericError", "ObservabilityResult", "ObserverDesign",
+    "PlantModel", "RoaEstimate", "SynthesisError", "Trajectory", "ValidationError",
+    "__version__", "assemble", "attack_signal", "augmented_jacobian",
+    "build_design", "certify", "choose_pi_star", "coupled_field", "default_poles",
+    "design_from_pi", "design_gain", "error_rhs", "fit_decay", "forbidden_set",
+    "gain_from_vector", "gamma_max", "integrate", "integrate_batch",
+    "is_observable", "load_system", "lyapunov_pairs", "lyapunov_value",
+    "monte_carlo_box_check", "observer_rhs", "plant_rhs", "roa_constants",
+    "roa_level", "system_from_dict", "trajectory_to_csv", "validate_assumptions",
+    "verify_decay", "write_gnuplot_stub",
+}
 
 FEASIBLE_SYSTEM = {
     "plant": {"A_p": [[-2.0]], "B_p": [[1.0]], "Q_p": [[0.05]]},
@@ -75,6 +95,29 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
 
 def test_package_entry_point_runs_without_warnings(tmp_path):
     _run_module_clean(tmp_path, "obsforge")
+
+
+def test_public_api_is_pinned():
+    assert len(obsforge.__all__) == len(PUBLIC_API) == 62
+    assert set(obsforge.__all__) == PUBLIC_API
+    for name in PUBLIC_API - {"__version__"}:
+        value = getattr(obsforge, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules["obsforge." + name], name
+        else:  # the object its defining module binds to that name
+            assert value is getattr(sys.modules[value.__module__], name), name
+
+
+def test_wildcard_import_binds_the_public_api():
+    code = (
+        "before = set(dir())\n"
+        "from obsforge import *\n"
+        "print(sorted(set(dir()) - before - {'before'}))"
+    )
+    proc = _run_clean(["-W", "error", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert set(ast.literal_eval(proc.stdout)) == PUBLIC_API
 
 
 def test_cli_flow_does_not_import_scipy_optimize(tmp_path):
@@ -275,6 +318,29 @@ def test_bundle_reuse_for_simulate_and_roa(tmp_path):
     assert payload["decay_check"] is not None
 
 
+def test_default_initial_state_follows_the_system(tmp_path):
+    # the reference loop starts from REFERENCE_Z0 whether it comes from
+    # --config or from its bundle; any other loop starts from +-0.1
+    other = refcase.reference_dict()
+    other["plant"]["Q_p"] = [[0.6, 0.0], [0.0, 0.6]]
+    alternating = [0.1, -0.1, 0.1, -0.1]
+    for name, system, z0, zhat0 in (
+        ("ref", refcase.reference_dict(), refcase.REFERENCE_Z0, refcase.REFERENCE_ZHAT0),
+        ("other", other, alternating, [-v for v in alternating]),
+    ):
+        cfg = _write_config(tmp_path, system, name + ".json")
+        out = str(tmp_path / name)
+        assert cli.main(["synthesize", "--config", cfg, "--out", out]) == 3
+        bundle = os.path.join(out, "bundle.json")
+        for source in (["--config", cfg], ["--bundle", bundle]):
+            sim_out = os.path.join(out, source[0][2:])
+            argv = ["simulate", "--horizon", "0.1", "--out", sim_out] + source
+            assert cli.main(argv) == 0, argv
+            payload = _read_json(os.path.join(sim_out, "simulate.json"))
+            assert payload["z0"] == list(z0), argv
+            assert payload["zhat0"] == list(zhat0), argv
+
+
 def test_reports_byte_identical_across_runs(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -380,6 +446,10 @@ def test_malformed_bundle_is_input_error(tmp_path, capsys):
     text_pi["attack"]["pi"] = ["one"]
     long_gain = copy.deepcopy(bundle)
     long_gain["observer"]["L"].append(1.0)
+    inf_weight = copy.deepcopy(bundle)
+    inf_weight["config"]["W1_scale"] = "inf"
+    wide_delta = copy.deepcopy(bundle)
+    wide_delta["config"]["delta_fraction"] = 5.0
     capsys.readouterr()
     for path, field in (
         (cfg, "bundle.system"),  # a system definition, not a bundle
@@ -387,6 +457,8 @@ def test_malformed_bundle_is_input_error(tmp_path, capsys):
         (_write_config(tmp_path, no_observer, "no_observer.json"), "bundle.observer"),
         (_write_config(tmp_path, text_pi, "text_pi.json"), "bundle.attack.pi"),
         (_write_config(tmp_path, long_gain, "long_gain.json"), "bundle.observer.L"),
+        (_write_config(tmp_path, inf_weight, "inf_weight.json"), "bundle.config.W1_scale"),
+        (_write_config(tmp_path, wide_delta, "wide_delta.json"), "bundle.config.delta_fraction"),
     ):
         for command in ("simulate", "roa"):
             argv = [command, "--bundle", path, "--out", out]

@@ -195,6 +195,20 @@ def test_verify_decay_certificate_holds(cert_instance):
     assert all(s["V0"] <= est.level * (1.0 + 1e-9) for s in report.per_sample)
 
 
+def test_empty_batches_integrate(cert_instance):
+    cl, design, obs, est = cert_instance
+    none = np.zeros((0, cl.n))
+    times, Z, Zh, blowup = sim.integrate_batch(cl, design, obs, none, none, T=0.1)
+    assert Z.shape == Zh.shape == (len(times), 0, cl.n)
+    assert blowup.shape == (0,)
+    box = roa.monte_carlo_box_check(cl, design, obs, n_samples=0, horizon=0.1)
+    assert (box.fraction_converged, box.max_transient_norm) == (1.0, 0.0)
+    assert (box.n_diverged, box.per_sample) == (0, ())
+    decay = roa.verify_decay(cl, design, obs, est, n_samples=0)
+    assert (decay.fraction_satisfied, decay.worst_margin) == (1.0, 0.0)
+    assert (decay.n_diverged, decay.per_sample) == (0, ())
+
+
 def test_verify_decay_requires_complete_estimate(cert_instance):
     cl, design, obs, est = cert_instance
     with pytest.raises(ValidationError, match="feasible"):
