@@ -38,3 +38,13 @@ __all__ = [
     *observer.__all__, *roa.__all__, *sim.__all__,
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # cli is imported on first access, never by ``import obsforge``, so that
+    # ``python -m obsforge.cli`` does not find it already imported
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -313,15 +313,18 @@ def load_bundle(path):
     """
     with open(path) as fh:
         payload = json.load(fh)
-    plant, controller = model.system_from_dict(_from_bundle(payload, "system"))
+    system = _from_bundle(payload, "system")
+    try:
+        plant, controller = model.system_from_dict(system)
+    except ValidationError as exc:
+        raise exc.under("bundle.system") from None
     cl = model.assemble(plant, controller)
-    design = attack.design_from_pi(
-        cl,
-        _from_bundle(payload, "attack.pi", _floats),
-        pi_star=_from_bundle(payload, "attack.pi_star", _floats),
-        gamma=_from_bundle(payload, "attack.gamma", float),
-        gamma_max=_from_bundle(payload, "attack.gamma_max", float),
-    )
+    converters = {"pi": _floats, "pi_star": _floats, "gamma": float, "gamma_max": float}
+    fields = {k: _from_bundle(payload, "attack." + k, f) for k, f in converters.items()}
+    try:
+        design = attack.design_from_pi(cl, **fields)
+    except ValidationError as exc:
+        raise exc.under("bundle.attack") from None
     L = _from_bundle(payload, "observer.L", _floats).reshape(-1, 1)
     desired = _from_bundle(
         payload,
@@ -340,9 +343,7 @@ def load_bundle(path):
     try:  # RunConfig's own rules, reported under the bundle's key
         knobs = RunConfig(**values)
     except ValidationError as exc:
-        raise ValidationError(
-            str(exc).split(": ", 1)[1], field="bundle.config." + keys[exc.field]
-        ) from None
+        raise ValidationError(exc.reason, keys[exc.field]).under("bundle.config") from None
     est = _certify(cl, design, obs, knobs)
     flags = _verification_flags(cl, design, obs, est)
     stored = {k: _from_bundle(payload, "verification." + k) for k in flags}

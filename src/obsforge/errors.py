@@ -19,14 +19,21 @@ class ValidationError(ValueError):
     """Malformed or inconsistent input data.
 
     ``field`` names the offending entry (dotted path for file input,
-    e.g. ``"plant.A_p[1][2]"``) so callers can point at the exact value.
+    e.g. ``"plant.A_p[1][2]"``) so callers can point at the exact value;
+    ``reason`` is the message without it.
     """
 
     def __init__(self, message, field=None):
+        self.reason = message
         self.field = field
         if field is not None:
             message = "%s: %s" % (field, message)
         super().__init__(message)
+
+    def under(self, parent):
+        """The same error with its field re-rooted under the path ``parent``."""
+        field = parent if self.field in (None, "$") else "%s.%s" % (parent, self.field)
+        return ValidationError(self.reason, field=field)
 
 
 class AssumptionError(ValueError):

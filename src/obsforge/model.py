@@ -271,33 +271,18 @@ def system_from_dict(data) -> tuple[PlantModel, ControllerModel]:
             if key not in data[section]:
                 raise ValidationError("missing matrix", field="%s.%s" % (section, key))
 
-    p = data["plant"]
-    c = data["controller"]
-    D_c = c["D_c"]
+    D_c = data["controller"]["D_c"]
     if isinstance(D_c, bool) or not isinstance(D_c, (int, float)) or not np.isfinite(D_c):
         raise ValidationError("expected a finite scalar", field="controller.D_c")
 
-    def grab(section, obj, key):
-        return _matrix_from_json(obj[key], "%s.%s" % (section, key))
+    def build(section, make, keys, **scalars):
+        try:
+            return make(**{k: _matrix_from_json(data[section][k], k) for k in keys}, **scalars)
+        except ValidationError as exc:
+            raise exc.under(section) from exc
 
-    try:
-        plant = PlantModel(
-            A_p=grab("plant", p, "A_p"),
-            B_p=grab("plant", p, "B_p"),
-            Q_p=grab("plant", p, "Q_p"),
-        )
-        controller = ControllerModel(
-            A_c=grab("controller", c, "A_c"),
-            B_c=grab("controller", c, "B_c"),
-            C_c=grab("controller", c, "C_c"),
-            D_c=float(D_c),
-        )
-    except ValidationError as exc:
-        if exc.field in _PLANT_KEYS:
-            raise ValidationError(str(exc).split(": ", 1)[1], field="plant.%s" % exc.field) from exc
-        if exc.field in _CONTROLLER_KEYS:
-            raise ValidationError(str(exc).split(": ", 1)[1], field="controller.%s" % exc.field) from exc
-        raise
+    plant = build("plant", PlantModel, _PLANT_KEYS)
+    controller = build("controller", ControllerModel, _CONTROLLER_KEYS[:3], D_c=float(D_c))
     return plant, controller
 
 

@@ -203,6 +203,27 @@ def _sample_in_ellipsoid(evecs, sqrt_evals, level, rng):
     return math.sqrt(level) * r * x
 
 
+def _seeded_rows(seed, n_samples, width, draw):
+    """(n_samples, width) rows; row i is ``draw(np.random.default_rng((seed, i)))``.
+
+    One generator per sample, derived from the master seed by index, so each
+    row is independent of how many are drawn and of scheduling.
+    """
+    rows = np.empty((n_samples, width))
+    for i in range(n_samples):
+        rows[i] = draw(np.random.default_rng((seed, i)))
+    return rows
+
+
+def _per_sample(**columns):
+    """One dict per sample, ``index`` first, then the columns in the given order."""
+    names = tuple(columns)
+    return tuple(
+        {"index": i, **dict(zip(names, row))}
+        for i, row in enumerate(zip(*columns.values()))
+    )
+
+
 @dataclass(frozen=True)
 class DecayReport(Reported):
     n_samples: int
@@ -260,10 +281,10 @@ def verify_decay(
 
     evals, evecs = np.linalg.eigh(P)
     sqrt_evals = np.sqrt(evals)
-    samples = np.empty((n_samples, 2 * n))
-    for i in range(n_samples):
-        rng = np.random.default_rng((seed, i))
-        samples[i] = _sample_in_ellipsoid(evecs, sqrt_evals, estimate.level, rng)
+    samples = _seeded_rows(
+        seed, n_samples, 2 * n,
+        lambda rng: _sample_in_ellipsoid(evecs, sqrt_evals, estimate.level, rng),
+    )
     Z0 = samples[:, :n]
     E0 = samples[:, n:]
 
@@ -285,47 +306,33 @@ def verify_decay(
     Px = P @ x
     V = np.einsum("ir,ir->r", Px, x).reshape(shape)
     Vdot = 2.0 * np.einsum("ir,ir->r", Px, xdot).reshape(shape)
+    del x, xdot, Px  # free the states before the verdicts' temporaries
 
-    per_sample = []
-    worst = -math.inf
-    n_sat = 0
-    all_inside = True
-    for i in range(n_samples):
-        Vi, Vdi = V[:, i], Vdot[:, i]
-        finite = np.isfinite(Vi)
-        diverged = bool(np.isfinite(blowup[i]))
-        pos = finite & (Vi > 0)
-        # margin (Vdot + delta V)/V should stay <= tol_decay
-        ratios = (Vdi[pos] + estimate.delta * Vi[pos]) / Vi[pos]
-        margin = float(ratios.max()) if ratios.size else 0.0
-        inside = bool(
-            np.all(Vi[finite] <= estimate.level * (1.0 + 1e-9)) and not diverged
-        )
-        satisfied = bool(margin <= tol_decay and not diverged)
-        worst = max(worst, margin)
-        n_sat += satisfied
-        all_inside &= inside
-        per_sample.append(
-            {
-                "index": i,
-                "satisfied": satisfied,
-                "margin": margin,
-                "stayed_inside": inside,
-                "diverged": diverged,
-                "V0": float(Vi[0]),
-            }
-        )
+    # one column per sample; the margin (Vdot + delta V)/V should stay
+    # <= tol_decay over the finite V > 0 records, and is 0.0 without any
+    diverged = np.isfinite(blowup)
+    finite = np.isfinite(V)
+    pos = finite & (V > 0)
+    ratios = np.divide(Vdot + estimate.delta * V, V, out=np.full(V.shape, -math.inf), where=pos)
+    margin = np.where(pos.any(axis=0), ratios.max(axis=0), 0.0)
+    inside = ~diverged & np.all(~finite | (V <= estimate.level * (1.0 + 1e-9)), axis=0)
+    satisfied = ~diverged & (margin <= tol_decay)
     return DecayReport(
         n_samples=n_samples,
         seed=seed,
         delta=estimate.delta,
         level=estimate.level,
         tol_decay=tol_decay,
-        fraction_satisfied=n_sat / n_samples if n_samples else 1.0,
-        worst_margin=worst if n_samples else 0.0,
-        all_inside=all_inside,
-        n_diverged=int(np.isfinite(blowup).sum()),
-        per_sample=tuple(per_sample),
+        fraction_satisfied=int(satisfied.sum()) / n_samples if n_samples else 1.0,
+        # NaN margins never win, as under Python's max
+        worst_margin=float(np.fmax.reduce(margin, initial=-math.inf)) if n_samples else 0.0,
+        all_inside=bool(inside.all()),
+        n_diverged=int(diverged.sum()),
+        per_sample=_per_sample(
+            satisfied=satisfied.tolist(), margin=margin.tolist(),
+            stayed_inside=inside.tolist(), diverged=diverged.tolist(),
+            V0=V[0].tolist(),
+        ),
     )
 
 
@@ -366,10 +373,7 @@ def monte_carlo_box_check(
     w = float(box_halfwidth)
     if w < 0:
         raise ValidationError("must be nonnegative", field="box_halfwidth")
-    states = np.empty((n_samples, 2 * n))
-    for i in range(n_samples):
-        rng = np.random.default_rng((seed, i))
-        states[i] = rng.uniform(-w, w, 2 * n)
+    states = _seeded_rows(seed, n_samples, 2 * n, lambda rng: rng.uniform(-w, w, 2 * n))
     Z0, Zh0 = states[:, :n], states[:, n:]
 
     times, Z, Zh, blowup = integrate_batch(
@@ -391,21 +395,10 @@ def monte_carlo_box_check(
     )
     peak = np.fmax.reduce(combined, axis=0)
     peak[np.isnan(peak)] = math.inf
-    columns = zip(
-        converged.tolist(), initial.tolist(), final.tolist(), peak.tolist(),
-        diverged.tolist(), blowup.tolist(),
-    )
-    per_sample = tuple(
-        {
-            "index": i,
-            "converged": conv,
-            "initial_norm": start,
-            "final_norm": end,
-            "peak_norm": top,
-            "diverged": div,
-            "blowup_time": t if div else None,
-        }
-        for i, (conv, start, end, top, div, t) in enumerate(columns)
+    per_sample = _per_sample(
+        converged=converged.tolist(), initial_norm=initial.tolist(),
+        final_norm=final.tolist(), peak_norm=peak.tolist(), diverged=diverged.tolist(),
+        blowup_time=[t if div else None for t, div in zip(blowup.tolist(), diverged.tolist())],
     )
     return BoxReport(
         n_samples=n_samples,

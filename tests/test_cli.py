@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import obsforge
-from obsforge import cli, refcase
+from obsforge import cli, refcase, roa
+from obsforge.errors import AssumptionError
 
 # obsforge.__all__: the submodules, the layers' public names, the version
 PUBLIC_API = {
@@ -95,6 +96,19 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
 
 def test_package_entry_point_runs_without_warnings(tmp_path):
     _run_module_clean(tmp_path, "obsforge")
+
+
+def test_every_public_name_resolves_after_plain_import():
+    # cli is not imported by ``import obsforge`` but resolves on first access
+    code = (
+        "import sys, obsforge\n"
+        "assert 'obsforge.cli' not in sys.modules\n"
+        "print([n for n in obsforge.__all__ if not hasattr(obsforge, n)])"
+    )
+    proc = _run_clean(["-W", "error", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.strip() == "[]"
 
 
 def test_public_api_is_pinned():
@@ -361,16 +375,40 @@ def test_reproduce_reference_passes(tmp_path, capsys):
     assert "within tolerance" in capsys.readouterr().out
 
 
-def test_reproduce_detects_drift(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "key, perturb",
+    [  # one row per bound kind: tol, rel_tol, max, exact, and a dict row
+        pytest.param("gamma_max", lambda row: row.update(value=0.5), id="gamma_max"),
+        pytest.param("roa_c3", lambda row: row.update(value=row["value"] * 1.01), id="roa_c3"),
+        pytest.param("error_ratio_at_T", lambda row: row.update(max=1e-30), id="error_ratio_at_T"),
+        pytest.param("roa_feasible", lambda row: row.update(value=True), id="roa_feasible"),
+        pytest.param(
+            "error_norm_milestones", lambda row: row["value"].update({2.0: 7.27e-4}),
+            id="milestone",
+        ),
+    ],
+)
+def test_reproduce_detects_drift(tmp_path, monkeypatch, capsys, key, perturb):
     perturbed = copy.deepcopy(refcase.expected_values())
-    perturbed["gamma_max"]["value"] = 0.5
+    perturb(perturbed[key])
     monkeypatch.setattr(refcase, "expected_values", lambda: perturbed)
     out = tmp_path / "out"
     code = cli.main(["reproduce-paper", "--out", str(out)])
     assert code == 5
     payload = _read_json(out / "reproduce.json")
-    assert any("gamma_max" in line for line in payload["mismatches"])
+    assert any(key in line for line in payload["mismatches"])
     assert "MISMATCHES" in capsys.readouterr().out
+
+
+def test_reproduce_fails_nan_certificate_constants(monkeypatch):
+    def raise_assumption(*args, **kwargs):
+        raise AssumptionError("error matrix is not Hurwitz")
+
+    monkeypatch.setattr(roa, "lyapunov_pairs", raise_assumption)
+    results, mismatches = refcase.run_reference_case(T=0.5)
+    assert results["reproduced"] is False
+    for key in ("roa_c1", "roa_c3"):
+        assert any(line.startswith(key) for line in mismatches), mismatches
 
 
 def test_bad_pi_vector_is_input_error(tmp_path, capsys):
@@ -450,6 +488,12 @@ def test_malformed_bundle_is_input_error(tmp_path, capsys):
     inf_weight["config"]["W1_scale"] = "inf"
     wide_delta = copy.deepcopy(bundle)
     wide_delta["config"]["delta_fraction"] = 5.0
+    text_matrix = copy.deepcopy(bundle)
+    text_matrix["system"]["plant"]["A_p"] = [["x"]]
+    no_controller = copy.deepcopy(bundle)
+    del no_controller["system"]["controller"]
+    long_pi = copy.deepcopy(bundle)
+    long_pi["attack"]["pi"].append(1.0)
     capsys.readouterr()
     for path, field in (
         (cfg, "bundle.system"),  # a system definition, not a bundle
@@ -459,6 +503,9 @@ def test_malformed_bundle_is_input_error(tmp_path, capsys):
         (_write_config(tmp_path, long_gain, "long_gain.json"), "bundle.observer.L"),
         (_write_config(tmp_path, inf_weight, "inf_weight.json"), "bundle.config.W1_scale"),
         (_write_config(tmp_path, wide_delta, "wide_delta.json"), "bundle.config.delta_fraction"),
+        (_write_config(tmp_path, text_matrix, "text_matrix.json"), "bundle.system.plant.A_p[0][0]"),
+        (_write_config(tmp_path, no_controller, "no_controller.json"), "bundle.system.controller"),
+        (_write_config(tmp_path, long_pi, "long_pi.json"), "bundle.attack.pi:"),
     ):
         for command in ("simulate", "roa"):
             argv = [command, "--bundle", path, "--out", out]

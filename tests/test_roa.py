@@ -312,6 +312,63 @@ def test_box_check_per_sample_matches_loop(ref_system, ref_design, ref_observer,
     assert report.fraction_converged == sum(s["converged"] for s in expected) / m
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_verify_decay_per_sample_matches_loop(cert_instance, scale):
+    """The column reductions give the verdicts of a per-sample loop, exactly.
+
+    At 1e6 times the certified level samples leave the set and diverge.
+    """
+    cl, design, obs, est = cert_instance
+    est = replace(est, level=est.level * scale)
+    n, m, seed = cl.n, 12, 7
+    report = roa.verify_decay(cl, design, obs, est, n_samples=m, seed=seed)
+    P = np.zeros((2 * n, 2 * n))
+    P[:n, :n], P[n:, n:] = est.P1, est.P2
+    evals, evecs = np.linalg.eigh(P)
+    samples = np.array([
+        roa._sample_in_ellipsoid(
+            evecs, np.sqrt(evals), est.level, np.random.default_rng((seed, i))
+        )
+        for i in range(m)
+    ])
+    _, Z, Zh, blowup = sim.integrate_batch(
+        cl, design, obs, samples[:, :n], samples[:, :n] + samples[:, n:], dt=1e-3,
+        T=2.0, stride=10, norm_limit=1e6,
+    )
+    # V and Vdot at every record of every sample, as verify_decay evaluates them
+    x = np.concatenate([Z.reshape(-1, n).T, Zh.reshape(-1, n).T])
+    xdot = observer.coupled_field(cl, design, obs)(x)
+    x[n:] -= x[:n]
+    xdot[n:] -= xdot[:n]
+    Px = P @ x
+    V = np.einsum("ir,ir->r", Px, x).reshape(Z.shape[:2])
+    Vdot = 2.0 * np.einsum("ir,ir->r", Px, xdot).reshape(Z.shape[:2])
+    expected = []
+    for i in range(m):
+        Vi, Vdi = V[:, i], Vdot[:, i]
+        finite = np.isfinite(Vi)
+        diverged = bool(np.isfinite(blowup[i]))
+        pos = finite & (Vi > 0)
+        ratios = (Vdi[pos] + est.delta * Vi[pos]) / Vi[pos]
+        margin = float(ratios.max()) if ratios.size else 0.0
+        inside = bool(np.all(Vi[finite] <= est.level * (1.0 + 1e-9)) and not diverged)
+        expected.append({
+            "index": i,
+            "satisfied": bool(margin <= roa.TOL_DECAY and not diverged),
+            "margin": margin,
+            "stayed_inside": inside,
+            "diverged": diverged,
+            "V0": float(Vi[0]),
+        })
+    if scale > 1.0:
+        assert any(s["diverged"] for s in expected)
+    assert report.per_sample == tuple(expected)
+    assert report.worst_margin == max(s["margin"] for s in expected)
+    assert report.n_diverged == sum(s["diverged"] for s in expected)
+    assert report.fraction_satisfied == sum(s["satisfied"] for s in expected) / m
+    assert report.all_inside == all(s["stayed_inside"] for s in expected)
+
+
 def test_box_check_reference_subset_converges(ref_system, ref_design, ref_observer):
     _, _, cl = ref_system
     report = roa.monte_carlo_box_check(
