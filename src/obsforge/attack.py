@@ -24,7 +24,6 @@ from .errors import (
 from .numerics import (
     eig,
     is_hurwitz,
-    observability_matrix,
     solve_lyapunov,
     spectral_norm,
 )
@@ -200,22 +199,22 @@ class ObservabilityResult:
     def __bool__(self):
         return self.observable
 
-    def __iter__(self):  # allows obs, margin = is_observable(...)
-        yield self.observable
-        yield self.margin
 
-
-def is_observable(F, Hrow, tol_obs=TOL_OBS) -> ObservabilityResult:
+def is_observable(F, Hrow) -> ObservabilityResult:
     """Rank test on the observability matrix [H; HF; ...; HF^{n-1}].
 
-    The pair is declared observable when sigma_min > tol_obs * sigma_max;
+    The pair is declared observable when sigma_min > TOL_OBS * sigma_max;
     ``margin`` is that singular-value ratio (0 for the zero row).
     """
-    sv = np.linalg.svd(observability_matrix(F, Hrow), compute_uv=False)
+    F = np.asarray(F, dtype=float)
+    rows = [np.atleast_2d(np.asarray(Hrow, dtype=float))]
+    for _ in range(F.shape[0] - 1):
+        rows.append(rows[-1] @ F)
+    sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
     if sv[0] == 0.0:
         return ObservabilityResult(observable=False, margin=0.0)
     margin = float(sv[-1] / sv[0])
-    return ObservabilityResult(observable=bool(margin > tol_obs), margin=margin)
+    return ObservabilityResult(observable=bool(margin > TOL_OBS), margin=margin)
 
 
 def _reference_pair(closed_loop, pi):

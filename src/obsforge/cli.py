@@ -302,14 +302,35 @@ def _floats(value):
     return np.array(value, dtype=float)
 
 
+def _check_attack(cl, design, knobs):
+    """Stored attack fields must match what the bundle's system and knobs give."""
+    try:  # the rules a supplied pi* meets in synthesis
+        attack.choose_pi_star(cl, design.forbidden, pi_star=design.pi_star)
+    except ValidationError as exc:
+        raise exc.under("bundle.attack") from None
+    Y = knobs.y_scale * np.eye(cl.n)
+    for key, want, rel in (
+        ("gamma_max", attack.gamma_max(cl.A, cl.B, cl.Q_p, design.pi_star, Y), 1e-9),
+        ("gamma", knobs.gamma_fraction * design.gamma_max, 1e-12),
+        ("pi", design.gamma * design.pi_star, 1e-12),
+    ):
+        off = np.linalg.norm(getattr(design, key) - want) / np.linalg.norm(want)
+        if not off <= rel:
+            raise ValidationError(
+                "differs from its recomputation by %.3g relative (bound %.0e)" % (off, rel),
+                field="bundle.attack." + key,
+            )
+
+
 def load_bundle(path):
     """Rebuild (cl, design, obs, est) from a bundle JSON.
 
     The stored pi and L are used verbatim, so a reloaded bundle reproduces
-    the original design bit for bit. The certificate is recomputed from the
-    stored weights, and the verification flags are recomputed and must match
-    the stored ones. A malformed bundle raises ValidationError naming the
-    field, e.g. ``bundle.observer``.
+    the original design bit for bit. The stored pi_star, gamma_max, gamma and
+    pi are checked against their recomputation. The certificate is recomputed
+    from the stored weights, and the verification flags are recomputed and
+    must match the stored ones. A malformed bundle raises ValidationError
+    naming the field, e.g. ``bundle.observer``.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -338,12 +359,13 @@ def load_bundle(path):
                 field="bundle.observer." + key,
             )
     obs = observer.gain_from_vector(design, cl.B, L, desired)
-    keys = {k.lower(): k for k in ("W1_scale", "W2_scale", "delta_fraction")}
+    keys = {k.lower(): k for k in _STORED_KEYS if k != "seed"}
     values = {f: _from_bundle(payload, "config." + k, float) for f, k in keys.items()}
     try:  # RunConfig's own rules, reported under the bundle's key
         knobs = RunConfig(**values)
     except ValidationError as exc:
         raise ValidationError(exc.reason, keys[exc.field]).under("bundle.config") from None
+    _check_attack(cl, design, knobs)
     est = _certify(cl, design, obs, knobs)
     flags = _verification_flags(cl, design, obs, est)
     stored = {k: _from_bundle(payload, "verification." + k) for k in flags}

@@ -3,28 +3,27 @@
 Everything here works on small dense matrices (desk scale, n up to a few
 tens), so the implementations favour transparency over asymptotics: the
 Lyapunov equation is solved by Kronecker vectorization and pole placement
-uses Ackermann's formula on the dual pair. Complex arithmetic stays inside
-this module; returned gains and solutions are real. The module needs numpy
-only: spectra are matched by a plain-Python assignment solver, because
-importing ``scipy.optimize`` costs more than every call made here.
+reads one gain row per target off the PBH pencil [pI - F; -H]. Complex
+arithmetic stays inside this module; returned gains and solutions are real.
+The module needs numpy only: spectra are matched by a plain-Python
+assignment solver, because importing ``scipy.optimize`` costs more than
+every call made here.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningWarning, NumericError
+from .errors import NumericError
 
 __all__ = [
     "EigenPairs",
     "eig",
     "solve_lyapunov",
     "place_poles_dual",
-    "observability_matrix",
     "spectral_norm",
     "lambda_min_sym",
     "spectral_abscissa",
@@ -34,9 +33,6 @@ __all__ = [
 
 #: relative residual allowed on eigenpairs and Lyapunov solutions
 TOL_RESIDUAL = 1e-8
-
-#: observability/controllability condition number beyond which placement warns
-COND_WARN = 1e12
 
 
 @dataclass(frozen=True)
@@ -161,9 +157,11 @@ def solve_lyapunov(A, Y):
 def place_poles_dual(F, Hrow, desired):
     """Output-injection gain placing sigma(F + Lcol @ Hrow) at ``desired``.
 
-    Ackermann's formula applied to the dual single-input pair (F', Hrow').
-    Exact for the single-output case; the returned gain is real, which the
-    conjugate-closure precondition on ``desired`` makes well-posed.
+    Each target p gives one gain row (Kautsky, Nichols and Van Dooren 1985):
+    with [v; s] the left null vector of M(p) = [pI - F; -Hrow] (PBH, Hautus
+    1969), v is a left eigenvector of F + Lcol Hrow at p iff v' Lcol = s. A
+    copy of p continues the Jordan chain, M(p)' [v2; s2] = -v1. The conjugate
+    closure of ``desired`` makes the gain real.
 
     Parameters
     ----------
@@ -176,17 +174,12 @@ def place_poles_dual(F, Hrow, desired):
     -------
     Lcol : (n, 1) ndarray
 
-    Warns
-    -----
-    ConditioningWarning
-        When the observability matrix condition number exceeds 1e12.
-
     Raises
     ------
     NumericError
-        If the pair is unobservable (singular observability matrix).
+        If the pair is unobservable (the stacked rows are singular).
     ValueError
-        If ``desired`` is not closed under conjugation.
+        If ``desired`` has the wrong size or is not closed under conjugation.
     """
     F = np.asarray(F, dtype=float)
     Hrow = np.atleast_2d(np.asarray(Hrow, dtype=float))
@@ -198,43 +191,24 @@ def place_poles_dual(F, Hrow, desired):
     coeffs = np.poly(desired)
     if np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs))):
         raise ValueError("desired spectrum is not closed under conjugation")
-    coeffs = coeffs.real
 
-    # dual controllable pair
-    At, bt = F.T, Hrow.T
-    C = np.hstack([np.linalg.matrix_power(At, i) @ bt for i in range(n)])
-    sv = np.linalg.svd(C, compute_uv=False)
-    if sv[-1] <= n * np.finfo(float).eps * sv[0] or sv[0] == 0.0:
+    # copies of a target sit side by side, so each continues its chain
+    p = np.sort(desired)
+    M = np.concatenate(
+        [p[:, None, None] * np.eye(n) - F, np.broadcast_to(-Hrow, (n, 1, n))], axis=1
+    )
+    rows = np.linalg.qr(M, mode="complete")[0][:, :, -1].conj()
+    for i in range(1, n):
+        if p[i] == p[i - 1]:
+            rows[i] = np.linalg.lstsq(M[i].T, -rows[i - 1, :n], rcond=None)[0]
+    V, s = rows[:, :n], rows[:, n]
+    sv = np.linalg.svd(V, compute_uv=False)
+    if sv[-1] <= n * np.finfo(float).eps * sv[0]:
         raise NumericError(
-            "(F, Hrow) is unobservable: observability matrix is singular "
-            "(singular values %s)" % np.array2string(sv, precision=3)
+            "(F, Hrow) is unobservable: the pencil rows at the targets are "
+            "singular (singular values %s)" % np.array2string(sv, precision=3)
         )
-    cond = sv[0] / sv[-1]
-    if cond > COND_WARN:
-        warnings.warn(
-            "observability matrix condition %.3e exceeds %.1e; placed poles "
-            "may be inaccurate" % (cond, COND_WARN),
-            ConditioningWarning,
-            stacklevel=2,
-        )
-
-    # p(At) by Horner
-    pA = np.zeros_like(At)
-    for c in coeffs:
-        pA = pA @ At + c * np.eye(n)
-    last_row = np.zeros((1, n))
-    last_row[0, -1] = 1.0
-    k = last_row @ np.linalg.solve(C, pA)  # sigma(At - bt k) = desired
-    return -k.T
-
-
-def observability_matrix(F, Hrow):
-    """Stacked rows [H; HF; ...; HF^{n-1}], each one the previous times F."""
-    F = np.asarray(F, dtype=float)
-    rows = [np.atleast_2d(np.asarray(Hrow, dtype=float))]
-    for _ in range(F.shape[0] - 1):
-        rows.append(rows[-1] @ F)
-    return np.vstack(rows)
+    return np.linalg.solve(V, s).real.reshape(n, 1)
 
 
 def spectral_norm(M):

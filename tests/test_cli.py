@@ -375,6 +375,20 @@ def test_reproduce_reference_passes(tmp_path, capsys):
     assert "within tolerance" in capsys.readouterr().out
 
 
+def test_reproduce_short_horizon_claims_nothing(tmp_path, capsys):
+    # the decay ratio and every milestone past T cannot be judged
+    out = tmp_path / "out"
+    code = cli.main(["reproduce-paper", "--horizon", "0.3", "--out", str(out)])
+    assert code == cli.EXIT_MISMATCH
+    payload = _read_json(out / "reproduce.json")
+    assert payload["results"]["reproduced"] is False
+    assert payload["mismatches"] == ["error_ratio_at_T: not judged at T=0.3"] + [
+        "error_norm_milestones at t=%g: not judged at T=0.3" % t for t in (0.5, 1, 2, 3, 4)
+    ]
+    stdout = capsys.readouterr().out
+    assert "MISMATCHES" in stdout and "within tolerance" not in stdout
+
+
 @pytest.mark.parametrize(
     "key, perturb",
     [  # one row per bound kind: tol, rel_tol, max, exact, and a dict row
@@ -494,6 +508,11 @@ def test_malformed_bundle_is_input_error(tmp_path, capsys):
     del no_controller["system"]["controller"]
     long_pi = copy.deepcopy(bundle)
     long_pi["attack"]["pi"].append(1.0)
+    # stored attack fields are recomputed from the system and the knobs
+    long_pi_star = copy.deepcopy(bundle)
+    long_pi_star["attack"]["pi_star"] = [1.0, 2.0]
+    edited_gamma_max = copy.deepcopy(bundle)
+    edited_gamma_max["attack"]["gamma_max"] = 123
     capsys.readouterr()
     for path, field in (
         (cfg, "bundle.system"),  # a system definition, not a bundle
@@ -506,6 +525,8 @@ def test_malformed_bundle_is_input_error(tmp_path, capsys):
         (_write_config(tmp_path, text_matrix, "text_matrix.json"), "bundle.system.plant.A_p[0][0]"),
         (_write_config(tmp_path, no_controller, "no_controller.json"), "bundle.system.controller"),
         (_write_config(tmp_path, long_pi, "long_pi.json"), "bundle.attack.pi:"),
+        (_write_config(tmp_path, long_pi_star, "long_pi_star.json"), "bundle.attack.pi_star"),
+        (_write_config(tmp_path, edited_gamma_max, "gmax.json"), "bundle.attack.gamma_max"),
     ):
         for command in ("simulate", "roa"):
             argv = [command, "--bundle", path, "--out", out]

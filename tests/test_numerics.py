@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 from scipy.optimize import linear_sum_assignment
 
 from obsforge.errors import NumericError
@@ -15,6 +16,7 @@ from obsforge.numerics import (
     spectral_norm,
     spectrum_distance,
 )
+from obsforge.observer import PLACEMENT_TOL
 
 
 def test_eig_diagonal_exact():
@@ -99,14 +101,62 @@ def test_solve_lyapunov_shape_mismatch():
         solve_lyapunov(np.eye(2), np.eye(3))
 
 
-def test_place_poles_dual_simple():
-    F = np.array([[0.0, 1.0], [0.0, 0.0]])  # double integrator, dual pair
-    H = np.array([[1.0, 0.0]])
-    desired = np.array([-2.0, -3.0])
+DOUBLE_INTEGRATOR = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "F, H, targets, tol",
+    [
+        pytest.param(DOUBLE_INTEGRATOR, [[1.0, 0.0]], [-2.0, -3.0], 1e-9, id="double_integrator"),
+        # targets on sigma(F): their pencil rows are F's left eigenvectors
+        pytest.param(
+            np.diag([-1.0, -2.0]), [[1.0, 1.0]], [-1.0, -3.0], 1e-9, id="on_spectrum_diagonal"
+        ),
+        pytest.param(
+            np.diag([-1.0, -2.0, -3.0]) + np.diag([1.0, 1.0], 1),
+            [[1.0, 0.0, 0.0]],
+            [-2.0, -5.0, -6.0],
+            1e-9,
+            id="on_spectrum_bidiagonal",
+        ),
+        # repeated targets follow a Jordan chain; a double pole is only
+        # accurate to about sqrt(eps), whatever the method
+        pytest.param(
+            np.diag([-1.0, -2.0, -3.0]),
+            [[1.0, 1.0, 1.0]],
+            [-1.0, -1.0, -4.0],
+            PLACEMENT_TOL,
+            id="repeated_on_spectrum",
+        ),
+        pytest.param(
+            DOUBLE_INTEGRATOR,
+            [[1.0, 0.0]],
+            [-2.0, -2.0],
+            PLACEMENT_TOL,
+            id="repeated_double_integrator",
+        ),
+    ],
+)
+def test_place_poles_dual_simple(F, H, targets, tol):
+    H = np.array(H)
+    desired = np.array(targets)
     L = place_poles_dual(F, H, desired)
-    assert L.shape == (2, 1)
+    assert L.shape == (F.shape[0], 1)
     placed = np.linalg.eigvals(F + L @ H)
-    assert spectrum_distance(placed, desired.astype(complex)) < 1e-9
+    assert spectrum_distance(placed, desired.astype(complex)) < tol
+
+
+def test_place_poles_dual_matches_scipy():
+    # with one output the gain is unique, so scipy's (on the dual pair) is an oracle
+    rng = np.random.default_rng(7)
+    for n in range(2, 7):
+        for _ in range(10):
+            F = rng.standard_normal((n, n))
+            H = rng.standard_normal((1, n))
+            desired = np.array([-1.5 + 1.0j, -1.5 - 1.0j] + [-1.0 - i for i in range(n - 2)])
+            L = place_poles_dual(F, H, desired)
+            ref = -scipy.signal.place_poles(F.T, H.T, desired).gain_matrix.T
+            assert np.linalg.norm(L - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 def test_place_poles_dual_complex_targets():
@@ -141,6 +191,8 @@ def test_place_poles_dual_unobservable_pair():
     H = np.array([[1.0, 0.0]])  # second state invisible
     with pytest.raises(NumericError):
         place_poles_dual(F, H, np.array([-3.0, -4.0]))
+    with pytest.raises(NumericError):
+        place_poles_dual(F, np.zeros((1, 2)), np.array([-3.0, -4.0]))
 
 
 def test_spectral_norm_column_is_euclidean():

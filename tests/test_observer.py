@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from obsforge import attack, observer
-from obsforge.errors import ValidationError
+from obsforge.errors import SynthesisError, ValidationError
 from obsforge.numerics import spectrum_distance
 
 
@@ -50,6 +50,21 @@ def test_design_gain_default_poles_work(ref_design, ref_system):
     _, _, cl = ref_system
     obs = observer.design_gain(ref_design, cl.B)
     assert obs.placement_error < 1e-6
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_design_gain_places_every_gated_draw(make_random_system, n):
+    # Ackermann's formula places n = 10 draw 1 more than 1e-6 off target
+    placed = 0
+    for i in range(40):
+        _, _, cl = make_random_system(np.random.default_rng([99, n, i]), n // 2, n // 2)
+        try:
+            design = attack.build_design(cl, seed=i)
+        except SynthesisError:
+            continue  # the Krylov gate rejects the pair
+        assert observer.design_gain(design, cl.B).placement_error <= observer.PLACEMENT_TOL
+        placed += 1
+    assert placed > 0
 
 
 def test_error_identity_sampled(ref_system, ref_design, ref_observer):
