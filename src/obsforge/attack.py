@@ -38,7 +38,6 @@ __all__ = [
     "choose_pi_star",
     "gamma_max",
     "build_design",
-    "design_from_pi",
     "attack_signal",
 ]
 
@@ -265,8 +264,9 @@ def choose_pi_star(
     Raises
     ------
     ValidationError
-        If a user-supplied pi* sits inside a forbidden subspace; the message
-        names the first violated subspace's source tag.
+        If a user-supplied pi* has the wrong length, is non-finite or zero,
+        or sits inside a forbidden subspace; the message names the first
+        violated subspace's source tag.
     SynthesisError
         If no candidate clears the margins, or the winner fails the
         observability check (e.g. Q_p = 0 makes induction impossible).
@@ -278,6 +278,8 @@ def choose_pi_star(
                 "expected length %d, got %d" % (closed_loop.n_p, pi_star.size),
                 field="pi_star",
             )
+        if not np.isfinite(pi_star).all():
+            raise ValidationError("entries must be finite", field="pi_star")
         if np.linalg.norm(pi_star) == 0.0:
             raise ValidationError("pi_star must be nonzero", field="pi_star")
         for s, m in zip(forbidden, _clearances(forbidden, pi_star)[0]):
@@ -375,12 +377,7 @@ def build_design(
 
     gmax = gamma_max(closed_loop.A, closed_loop.B, closed_loop.Q_p, pi_star, Y)
     gamma = gamma_fraction * gmax
-    return _finish_design(
-        closed_loop, forbidden, pi_star, gamma, gmax, gamma * pi_star
-    )
-
-
-def _finish_design(closed_loop, forbidden, pi_star, gamma, gmax, pi) -> AttackDesign:
+    pi = gamma * pi_star
     Fbar, Hbar = _reference_pair(closed_loop, pi)
     obs = is_observable(Fbar, Hbar)
     if not obs.observable:
@@ -395,7 +392,6 @@ def _finish_design(closed_loop, forbidden, pi_star, gamma, gmax, pi) -> AttackDe
             % (gamma, gmax)
         )
     pi_star = np.array(pi_star, dtype=float)
-    pi = np.array(pi, dtype=float)
     for arr in (pi_star, pi, Hbar, Fbar):
         arr.setflags(write=False)
     return AttackDesign(
@@ -408,29 +404,6 @@ def _finish_design(closed_loop, forbidden, pi_star, gamma, gmax, pi) -> AttackDe
         forbidden=forbidden,
         observability_margin=obs.margin,
     )
-
-
-def design_from_pi(closed_loop, pi, pi_star=None, gamma=None, gamma_max=None):
-    """Rebuild an AttackDesign from an already-scaled projection vector.
-
-    Used when reloading a stored design: pi is taken verbatim (no rescaling)
-    so the reconstruction is exact, and the same observability and stability
-    checks rerun. Metadata (pi_star, gamma, gamma_max) defaults to treating
-    pi itself as the unscaled direction.
-    """
-    pi = np.asarray(pi, dtype=float).reshape(-1)
-    if pi.shape != (closed_loop.n_p,):
-        raise ValidationError(
-            "expected length %d, got %d" % (closed_loop.n_p, pi.size), field="pi"
-        )
-    forbidden = _forbidden_from_blocks(
-        closed_loop.A_p, closed_loop.A_c, closed_loop.BpCc, closed_loop.Q_p
-    )
-    if pi_star is None:
-        pi_star = pi.copy()
-    gamma = float(gamma) if gamma is not None else 1.0
-    gamma_max = float(gamma_max) if gamma_max is not None else float("nan")
-    return _finish_design(closed_loop, forbidden, pi_star, gamma, gamma_max, pi)
 
 
 def attack_signal(design, zhat):

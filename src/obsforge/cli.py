@@ -34,7 +34,7 @@ from .errors import (
     SynthesisError,
     ValidationError,
 )
-from .report import jsonable
+from .report import jsonable, read_json
 
 __all__ = ["RunConfig", "main"]
 
@@ -87,7 +87,7 @@ class RunConfig:
             raise ValidationError(
                 "must exceed dt and be finite, got %r" % self.horizon, field="horizon"
             )
-        if self.seed < 0 or int(self.seed) != self.seed:
+        if not 0 <= self.seed < math.inf or int(self.seed) != self.seed:
             raise ValidationError(
                 "must be a nonnegative integer, got %r" % self.seed, field="seed"
             )
@@ -160,7 +160,7 @@ def config_from_args(args):
     clash = [d for d in _DESIGN_FLAGS if d in given] if given.get("bundle") else []
     if clash:
         raise ValidationError(
-            "%s cannot be used with --bundle, whose stored design is used as is"
+            "%s cannot be used with --bundle, whose stored inputs fix the design"
             % ", ".join("--" + d.replace("_", "-") for d in clash),
             field="bundle",
         )
@@ -201,17 +201,8 @@ def _write_meta(config, argv):
 # the knobs a bundle stores under "config"; each key lowercased is its RunConfig field
 _STORED_KEYS = ("gamma_fraction", "Y_scale", "W1_scale", "W2_scale", "delta_fraction", "seed")
 
-
-def _certify(cl, design, obs, config):
-    """The certificate for the weight knobs of ``config``."""
-    return roa.certify(
-        cl,
-        design,
-        obs,
-        W1=config.w1_scale * np.eye(cl.n),
-        W2=config.w2_scale * np.eye(cl.n),
-        delta_fraction=config.delta_fraction,
-    )
+#: largest relative difference between a stored bundle number and its recomputation
+BUNDLE_REL_TOL = 1e-9
 
 
 def _design_pipeline(config, cl):
@@ -223,9 +214,17 @@ def _design_pipeline(config, cl):
         Y=config.y_scale * np.eye(cl.n),
         seed=config.seed,
     )
-    desired = np.array(config.poles, dtype=float) if config.poles else None
+    desired = np.array(config.poles, dtype=complex) if config.poles else None
     obs = observer.design_gain(design, cl.B, desired_poles=desired)
-    return design, obs, _certify(cl, design, obs, config)
+    est = roa.certify(
+        cl,
+        design,
+        obs,
+        W1=config.w1_scale * np.eye(cl.n),
+        W2=config.w2_scale * np.eye(cl.n),
+        delta_fraction=config.delta_fraction,
+    )
+    return design, obs, est
 
 
 def _verification_flags(cl, design, obs, est):
@@ -294,87 +293,83 @@ def _from_bundle(payload, path, convert=lambda value: value):
         value = value[key]
     try:
         return convert(value)
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ValidationError("expected numbers", field=field) from None
 
 
-def _floats(value):
-    return np.array(value, dtype=float)
+def _match(stored, fresh, field):
+    """Raise ValidationError at the first entry of ``stored`` that ``fresh`` refutes.
 
-
-def _check_attack(cl, design, knobs):
-    """Stored attack fields must match what the bundle's system and knobs give."""
-    try:  # the rules a supplied pi* meets in synthesis
-        attack.choose_pi_star(cl, design.forbidden, pi_star=design.pi_star)
-    except ValidationError as exc:
-        raise exc.under("bundle.attack") from None
-    Y = knobs.y_scale * np.eye(cl.n)
-    for key, want, rel in (
-        ("gamma_max", attack.gamma_max(cl.A, cl.B, cl.Q_p, design.pi_star, Y), 1e-9),
-        ("gamma", knobs.gamma_fraction * design.gamma_max, 1e-12),
-        ("pi", design.gamma * design.pi_star, 1e-12),
-    ):
-        off = np.linalg.norm(getattr(design, key) - want) / np.linalg.norm(want)
-        if not off <= rel:
+    ``fresh`` is report JSON. Keys, lengths, bools, strings and nulls must
+    match exactly; each number must lie within BUNDLE_REL_TOL relative of
+    its counterpart.
+    """
+    if isinstance(fresh, dict):
+        if not isinstance(stored, dict):
+            raise ValidationError("expected a JSON object", field=field)
+        if stored.keys() != fresh.keys():
             raise ValidationError(
-                "differs from its recomputation by %.3g relative (bound %.0e)" % (off, rel),
-                field="bundle.attack." + key,
+                "expected keys %s, got %s" % (sorted(fresh), sorted(stored)), field=field
             )
+        for key, value in fresh.items():
+            _match(stored[key], value, "%s.%s" % (field, key))
+    elif isinstance(fresh, list):
+        if not isinstance(stored, list) or len(stored) != len(fresh):
+            raise ValidationError("expected a list of %d entries" % len(fresh), field=field)
+        for i, (entry, value) in enumerate(zip(stored, fresh)):
+            _match(entry, value, "%s[%d]" % (field, i))
+    elif isinstance(fresh, (int, float)) and not isinstance(fresh, bool):
+        number = isinstance(stored, (int, float)) and not isinstance(stored, bool)
+        if not (number and math.isclose(stored, fresh, rel_tol=BUNDLE_REL_TOL)):
+            raise ValidationError(
+                "stored %r differs from the recomputed %r by more than %.0e relative"
+                % (stored, fresh, BUNDLE_REL_TOL),
+                field=field,
+            )
+    elif type(stored) is not type(fresh) or stored != fresh:
+        raise ValidationError("stored %r, recomputed %r" % (stored, fresh), field=field)
+
+
+# where the synthesis chain's own input fields live in a bundle
+_INPUT_ROOTS = {"pi_star": "bundle.attack", "desired_poles": "bundle.observer"}
 
 
 def load_bundle(path):
-    """Rebuild (cl, design, obs, est) from a bundle JSON.
+    """Replay a bundle JSON through the synthesize chain: (cl, design, obs, est).
 
-    The stored pi and L are used verbatim, so a reloaded bundle reproduces
-    the original design bit for bit. The stored pi_star, gamma_max, gamma and
-    pi are checked against their recomputation. The certificate is recomputed
-    from the stored weights, and the verification flags are recomputed and
-    must match the stored ones. A malformed bundle raises ValidationError
-    naming the field, e.g. ``bundle.observer``.
+    The bundle's inputs (its system, the knobs under ``config``,
+    ``attack.pi_star`` and ``observer.desired_poles``) go through RunConfig
+    and _design_pipeline as in synthesize. Every stored field must then
+    match the rebuilt bundle under _match's rule, so the returned design is
+    the recomputed one, checked against the stored one. A malformed or
+    refuted bundle raises ValidationError naming the field, e.g.
+    ``bundle.roa.c3``.
     """
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     system = _from_bundle(payload, "system")
     try:
         plant, controller = model.system_from_dict(system)
     except ValidationError as exc:
         raise exc.under("bundle.system") from None
     cl = model.assemble(plant, controller)
-    converters = {"pi": _floats, "pi_star": _floats, "gamma": float, "gamma_max": float}
-    fields = {k: _from_bundle(payload, "attack." + k, f) for k, f in converters.items()}
-    try:
-        design = attack.design_from_pi(cl, **fields)
-    except ValidationError as exc:
-        raise exc.under("bundle.attack") from None
-    L = _from_bundle(payload, "observer.L", _floats).reshape(-1, 1)
-    desired = _from_bundle(
+    keys = {k.lower(): k for k in _STORED_KEYS}
+    values = {f: _from_bundle(payload, "config." + k, float) for f, k in keys.items()}
+    values["pi"] = _from_bundle(payload, "attack.pi_star", lambda pi: [float(x) for x in pi])
+    values["poles"] = _from_bundle(
         payload,
         "observer.desired_poles",
-        lambda poles: np.array([p["re"] + 1j * p["im"] for p in poles]),
+        lambda poles: [complex(p["re"], p["im"]) for p in poles],
     )
-    for key, value in (("L", L), ("desired_poles", desired)):
-        if value.size != cl.n:
-            raise ValidationError(
-                "expected %d entries, got %d" % (cl.n, value.size),
-                field="bundle.observer." + key,
-            )
-    obs = observer.gain_from_vector(design, cl.B, L, desired)
-    keys = {k.lower(): k for k in _STORED_KEYS if k != "seed"}
-    values = {f: _from_bundle(payload, "config." + k, float) for f, k in keys.items()}
     try:  # RunConfig's own rules, reported under the bundle's key
         knobs = RunConfig(**values)
     except ValidationError as exc:
         raise ValidationError(exc.reason, keys[exc.field]).under("bundle.config") from None
-    _check_attack(cl, design, knobs)
-    est = _certify(cl, design, obs, knobs)
-    flags = _verification_flags(cl, design, obs, est)
-    stored = {k: _from_bundle(payload, "verification." + k) for k in flags}
-    diffs = {k: (stored[k], v) for k, v in flags.items() if stored[k] != v}
-    if diffs:
-        raise ValidationError(
-            "re-verification of the bundle changed flags: %s" % diffs,
-            field="bundle",
-        )
+    try:
+        design, obs, est = _design_pipeline(knobs, cl)
+    except ValidationError as exc:
+        raise exc.under(_INPUT_ROOTS.get(exc.field, "bundle")) from None
+    fresh = _bundle_payload(knobs, plant, controller, cl, design, obs, est)
+    _match(payload, jsonable(fresh), "bundle")
     return cl, design, obs, est
 
 
@@ -587,7 +582,7 @@ def main(argv=None) -> int:
         config = config_from_args(args)
         _write_meta(config, argv)  # also creates the output directory
         return _COMMANDS[args.command][0](config)
-    except (ValidationError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except DivergenceError as exc:

@@ -14,14 +14,13 @@ controller spectra are disjoint and the coupling block B_p C_c is nonzero;
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 from .numerics import eig, spectral_abscissa
-from .report import Reported
+from .report import Reported, read_json
 
 __all__ = [
     "PlantModel",
@@ -292,12 +291,4 @@ def load_system(path) -> tuple[PlantModel, ControllerModel]:
     Malformed JSON reports line and column from the parser; schema problems
     report the dotted field path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                "malformed JSON at line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg),
-                field=str(path),
-            ) from exc
-    return system_from_dict(data)
+    return system_from_dict(read_json(path))

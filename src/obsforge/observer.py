@@ -78,6 +78,9 @@ def design_gain(design, B, desired_poles=None) -> ObserverDesign:
 
     Raises
     ------
+    ValidationError
+        If ``desired_poles`` has the wrong size, a non-finite entry or a real
+        part >= 0, or is not closed under conjugation.
     SynthesisError
         If the recomputed spectrum misses the target multiset by more than
         1e-6; the message carries the design's observability margin.
@@ -89,13 +92,16 @@ def design_gain(design, B, desired_poles=None) -> ObserverDesign:
     desired_poles = np.asarray(desired_poles, dtype=complex).reshape(-1)
     if desired_poles.shape != (n,):
         raise ValidationError("expected %d poles" % n, field="desired_poles")
-    if np.max(desired_poles.real) >= 0:
+    if not (np.isfinite(desired_poles).all() and (desired_poles.real < 0).all()):
         raise ValidationError(
-            "all desired poles need strictly negative real parts",
+            "all desired poles need to be finite with strictly negative real parts",
             field="desired_poles",
         )
 
-    Ltilde = place_poles_dual(design.Fbar, design.Hbar, desired_poles)
+    try:
+        Ltilde = place_poles_dual(design.Fbar, design.Hbar, desired_poles)
+    except ValueError as exc:  # targets not closed under conjugation
+        raise ValidationError(str(exc), field="desired_poles") from None
     obs = gain_from_vector(design, B, Ltilde - B, desired_poles)
     if obs.placement_error > PLACEMENT_TOL:
         raise SynthesisError(

@@ -207,7 +207,9 @@ def _seeded_rows(seed, n_samples, width, draw):
     """(n_samples, width) rows; row i is ``draw(np.random.default_rng((seed, i)))``.
 
     One generator per sample, derived from the master seed by index, so each
-    row is independent of how many are drawn and of scheduling.
+    drawn row is independent of how many are drawn and of scheduling. The
+    states integrated from a row are not, bit for bit: integrate_batch's
+    arithmetic depends on the batch width within rounding.
     """
     rows = np.empty((n_samples, width))
     for i in range(n_samples):

@@ -218,23 +218,6 @@ def test_induced_pair_construction(ref_system, ref_design):
     assert np.array_equal(ref_design.Fbar, F)
 
 
-def test_design_from_pi_roundtrip(ref_system, ref_design):
-    _, _, cl = ref_system
-    rebuilt = attack.design_from_pi(
-        cl,
-        ref_design.pi,
-        pi_star=ref_design.pi_star,
-        gamma=ref_design.gamma,
-        gamma_max=ref_design.gamma_max,
-    )
-    assert np.array_equal(rebuilt.Hbar, ref_design.Hbar)
-    assert np.array_equal(rebuilt.Fbar, ref_design.Fbar)
-    assert rebuilt.gamma == ref_design.gamma
-    assert rebuilt.observability_margin == pytest.approx(
-        ref_design.observability_margin, rel=1e-12
-    )
-
-
 def _candidates(seed, n_p, n_candidates=64):
     samples = np.random.default_rng(seed).standard_normal((n_candidates, n_p))
     return samples / np.linalg.norm(samples, axis=1, keepdims=True)

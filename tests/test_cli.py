@@ -26,7 +26,7 @@ PUBLIC_API = {
     "PlantModel", "RoaEstimate", "SynthesisError", "Trajectory", "ValidationError",
     "__version__", "assemble", "attack_signal", "augmented_jacobian",
     "build_design", "certify", "choose_pi_star", "coupled_field", "default_poles",
-    "design_from_pi", "design_gain", "error_rhs", "fit_decay", "forbidden_set",
+    "design_gain", "error_rhs", "fit_decay", "forbidden_set",
     "gain_from_vector", "gamma_max", "integrate", "integrate_batch",
     "is_observable", "load_system", "lyapunov_pairs", "lyapunov_value",
     "monte_carlo_box_check", "observer_rhs", "plant_rhs", "roa_constants",
@@ -112,7 +112,7 @@ def test_every_public_name_resolves_after_plain_import():
 
 
 def test_public_api_is_pinned():
-    assert len(obsforge.__all__) == len(PUBLIC_API) == 62
+    assert len(obsforge.__all__) == len(PUBLIC_API) == 61
     assert set(obsforge.__all__) == PUBLIC_API
     for name in PUBLIC_API - {"__version__"}:
         value = getattr(obsforge, name)
@@ -488,6 +488,14 @@ def test_non_finite_knobs_are_input_errors(tmp_path, capsys, argv):
     assert any(line.startswith("input error:") for line in err), err
 
 
+def _assert_bundle_refused(path, field, out, capsys):
+    """simulate --bundle and roa --bundle both exit 2 naming ``field``."""
+    for command in ("simulate", "roa"):
+        argv = [command, "--bundle", path, "--out", out]
+        assert cli.main(argv) == cli.EXIT_INPUT, argv
+        assert field in capsys.readouterr().err, argv
+
+
 def test_malformed_bundle_is_input_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, FEASIBLE_SYSTEM)
     out = str(tmp_path / "o")
@@ -513,6 +521,21 @@ def test_malformed_bundle_is_input_error(tmp_path, capsys):
     long_pi_star["attack"]["pi_star"] = [1.0, 2.0]
     edited_gamma_max = copy.deepcopy(bundle)
     edited_gamma_max["attack"]["gamma_max"] = 123
+    # the replayed inputs meet the rules of synthesis; json writes NaN and Infinity
+    nan_pi_star = copy.deepcopy(bundle)
+    nan_pi_star["attack"]["pi_star"] = [float("nan")]
+    nan_pole = copy.deepcopy(bundle)
+    nan_pole["observer"]["desired_poles"][0]["re"] = float("nan")
+    lone_complex_pole = copy.deepcopy(bundle)
+    lone_complex_pole["observer"]["desired_poles"][0]["im"] = 1.0
+    nan_seed = copy.deepcopy(bundle)
+    nan_seed["config"]["seed"] = "nan"
+    inf_seed = copy.deepcopy(bundle)
+    inf_seed["config"]["seed"] = float("inf")
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"system": ', encoding="utf-8")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
     capsys.readouterr()
     for path, field in (
         (cfg, "bundle.system"),  # a system definition, not a bundle
@@ -527,8 +550,42 @@ def test_malformed_bundle_is_input_error(tmp_path, capsys):
         (_write_config(tmp_path, long_pi, "long_pi.json"), "bundle.attack.pi:"),
         (_write_config(tmp_path, long_pi_star, "long_pi_star.json"), "bundle.attack.pi_star"),
         (_write_config(tmp_path, edited_gamma_max, "gmax.json"), "bundle.attack.gamma_max"),
+        (_write_config(tmp_path, nan_pi_star, "nan_pi_star.json"), "bundle.attack.pi_star:"),
+        (_write_config(tmp_path, nan_pole, "nan_pole.json"), "bundle.observer.desired_poles:"),
+        (_write_config(tmp_path, lone_complex_pole, "lone.json"), "bundle.observer.desired_poles:"),
+        (_write_config(tmp_path, nan_seed, "nan_seed.json"), "bundle.config.seed:"),
+        (_write_config(tmp_path, inf_seed, "inf_seed.json"), "bundle.config.seed:"),
+        (str(truncated), "%s: malformed JSON at line 1 column 12" % truncated),
+        (str(binary), "%s: not UTF-8 text" % binary),
     ):
-        for command in ("simulate", "roa"):
-            argv = [command, "--bundle", path, "--out", out]
-            assert cli.main(argv) == cli.EXIT_INPUT, argv
-            assert field in capsys.readouterr().err, argv
+        _assert_bundle_refused(path, field, out, capsys)
+
+
+@pytest.fixture(scope="module")
+def reference_bundle(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("reference"))
+    argv = ["synthesize", "--pi=1,-3", "--poles=-9.5,-10.5,-11.5,-12.5", "--out", out]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    return _read_json(os.path.join(out, "bundle.json"))
+
+
+# one edit per stored output the bundle's inputs determine: field -> edit
+OUTPUT_EDITS = {
+    "attack.Hbar": lambda rows: [[99.0] + rows[0][1:]],
+    "attack.observability_margin": lambda margin: 0.5,
+    "attack.forbidden_subspaces": lambda subspaces: [],
+    "observer.placed_poles": lambda poles: [dict(p, re=5.0) for p in poles],
+    "observer.placement_error": lambda error: 1.0,
+    "roa.c3": lambda c3: -1.0,
+    "roa.feasible": lambda feasible: True,
+}
+
+
+@pytest.mark.parametrize("field", list(OUTPUT_EDITS))
+def test_edited_bundle_output_is_input_error(tmp_path, capsys, reference_bundle, field):
+    # each stored output must match its recomputation from the bundle's inputs
+    bundle = copy.deepcopy(reference_bundle)
+    section, key = field.split(".")
+    bundle[section][key] = OUTPUT_EDITS[field](bundle[section][key])
+    path = _write_config(tmp_path, bundle, "edited.json")
+    _assert_bundle_refused(path, "bundle." + field, str(tmp_path / "o"), capsys)

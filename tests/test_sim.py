@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from obsforge import attack, observer, refcase, sim
+from obsforge import attack, observer, refcase, roa, sim
 from obsforge.errors import DivergenceError, ValidationError
 
 
@@ -157,6 +157,34 @@ def test_integrate_batch_matches_plain_rk4(ref_system, ref_design, ref_observer)
             s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         got = np.concatenate([Z[-1, i], Zh[-1, i]])
         assert np.linalg.norm(got - s) <= 1e-12 * np.linalg.norm(s)
+
+
+def test_integrate_batch_width_bound(ref_system, ref_design, ref_observer):
+    # BLAS picks its kernel by batch width, so a row's states depend on the
+    # width it runs in by a few ulps: up to 4.4e-16 with OpenBLAS 0.3.31 on a
+    # 2-vCPU x86 host
+    _, _, cl = ref_system
+    n = cl.n
+    S0 = roa._seeded_rows(0, 500, 2 * n, lambda rng: rng.uniform(-0.5, 0.5, 2 * n))
+
+    def run(rows):
+        _, Z, Zh, blowup = sim.integrate_batch(
+            cl, ref_design, ref_observer, S0[rows, :n], S0[rows, n:], T=0.5, stride=50
+        )
+        assert not np.isfinite(blowup).any()
+        return np.concatenate([Z, Zh], axis=2)
+
+    full = run(slice(None))
+    assert 0.3 < np.abs(full).max() < 2.0  # states of order 1
+    for width, count in ((1, 8), (33, 66), (250, 500)):
+        for start in range(0, count, width):
+            rows = slice(start, start + width)
+            assert np.abs(run(rows) - full[:, rows]).max() <= 1e-15, (width, start)
+    for i in range(2):
+        traj = sim.integrate(
+            cl, ref_design, ref_observer, S0[i, :n], S0[i, n:], T=0.5, stride=50
+        )
+        assert np.abs(np.concatenate([traj.z, traj.z_hat], axis=1) - full[:, i]).max() <= 1e-15
 
 
 def _classic_rk4(field, S, dt, n_steps):
