@@ -10,6 +10,7 @@ until Fbar provably stays Hurwitz.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -225,6 +226,12 @@ def _reference_pair(closed_loop, pi):
     return Fbar, Hbar
 
 
+def _unit(pi):
+    """pi / |pi| without overflow: scaled by its largest entry first."""
+    pi = pi / np.abs(pi).max()
+    return pi / np.linalg.norm(pi)
+
+
 def _clearances(forbidden, directions):
     """Angular clearance of each direction from each subspace, in one pass.
 
@@ -253,7 +260,10 @@ def choose_pi_star(
 ):
     """Select a projection direction clear of every forbidden subspace.
 
-    With ``pi_star`` given, validates and returns it. Otherwise draws
+    With ``pi_star`` given, validates and returns it; it is scored and
+    checked on its unit direction, since neither the angular margin nor the
+    observability of the induced pair depends on its scale, so a huge pi*
+    is judged like its direction. Otherwise draws
     ``n_candidates`` unit-sphere samples from a seeded generator, scores all
     of them against every subspace in one array pass, and keeps the one
     maximizing the minimum angular margin (ties: lowest index, so the choice
@@ -280,9 +290,10 @@ def choose_pi_star(
             )
         if not np.isfinite(pi_star).all():
             raise ValidationError("entries must be finite", field="pi_star")
-        if np.linalg.norm(pi_star) == 0.0:
+        if not pi_star.any():
             raise ValidationError("pi_star must be nonzero", field="pi_star")
-        for s, m in zip(forbidden, _clearances(forbidden, pi_star)[0]):
+        direction = _unit(pi_star)
+        for s, m in zip(forbidden, _clearances(forbidden, direction)[0]):
             if m <= tol_margin:
                 raise ValidationError(
                     "lies in forbidden subspace %s (eigenvalue %s, margin "
@@ -302,9 +313,9 @@ def choose_pi_star(
                 "increase n_candidates or supply pi_star"
                 % (tol_margin, margins[best])
             )
-        chosen = samples[best]
+        chosen = direction = samples[best]
 
-    obs = is_observable(*_reference_pair(closed_loop, chosen))
+    obs = is_observable(*_reference_pair(closed_loop, direction))
     if not obs.observable:
         raise SynthesisError(
             "chosen pi* fails the observability check at reference scale "
@@ -322,7 +333,8 @@ def gamma_max(A, B, Q_p, pi_star, Y):
     """
     Q_p = np.asarray(Q_p, dtype=float)
     pi_star = np.asarray(pi_star, dtype=float)
-    qpi = float(np.linalg.norm(Q_p @ pi_star))
+    with np.errstate(over="ignore"):  # past double range qpi is inf, gamma_max 0
+        qpi = math.hypot(*(Q_p @ pi_star))
     if qpi == 0.0:
         raise ZeroDivisionError(
             "Q_p @ pi_star = 0: pi* is annihilated by the quadratic form and "
@@ -377,6 +389,12 @@ def build_design(
 
     gmax = gamma_max(closed_loop.A, closed_loop.B, closed_loop.Q_p, pi_star, Y)
     gamma = gamma_fraction * gmax
+    if not 0.0 < gamma < math.inf:  # only a pi* near the ends of double range
+        raise ValidationError(
+            "scale %.3e puts gamma = %.3e outside double range"
+            % (np.abs(pi_star).max(), gamma),
+            field="pi_star",
+        )
     pi = gamma * pi_star
     Fbar, Hbar = _reference_pair(closed_loop, pi)
     obs = is_observable(Fbar, Hbar)

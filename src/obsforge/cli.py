@@ -343,7 +343,8 @@ def load_bundle(path):
     match the rebuilt bundle under _match's rule, so the returned design is
     the recomputed one, checked against the stored one. A malformed or
     refuted bundle raises ValidationError naming the field, e.g.
-    ``bundle.roa.c3``.
+    ``bundle.roa.c3``; a system that breaks the standing assumptions raises
+    AssumptionError naming each failed one before anything is replayed.
     """
     payload = read_json(path)
     system = _from_bundle(payload, "system")
@@ -352,6 +353,10 @@ def load_bundle(path):
     except ValidationError as exc:
         raise exc.under("bundle.system") from None
     cl = model.assemble(plant, controller)
+    report = model.validate_assumptions(plant, controller, cl)
+    if not report.all_passed:
+        failed = [label for label, ok in _assumption_rows(report) if not ok]
+        raise AssumptionError("bundle.system fails " + "; ".join(failed))
     keys = {k.lower(): k for k in _STORED_KEYS}
     values = {f: _from_bundle(payload, "config." + k, float) for f, k in keys.items()}
     values["pi"] = _from_bundle(payload, "attack.pi_star", lambda pi: [float(x) for x in pi])
@@ -373,15 +378,20 @@ def load_bundle(path):
     return cl, design, obs, est
 
 
-def cmd_validate(config):
-    plant, controller, cl = _load_system(config)
-    report = model.validate_assumptions(plant, controller, cl)
-    rows = [
+def _assumption_rows(report):
+    """(label, passed) per standing assumption, with its numeric witness."""
+    return [
         ("loop matrix Hurwitz (abscissa %.6g)" % report.spectral_abscissa, report.a_hurwitz),
         ("plant/controller spectra disjoint (gap %.6g)" % report.min_eigenvalue_gap, report.spectra_disjoint),
         ("coupling B_p C_c nonzero (norm %.6g)" % report.bpcc_norm, report.bpcc_nonzero),
         ("output weight symmetric", report.qp_symmetric),
     ]
+
+
+def cmd_validate(config):
+    plant, controller, cl = _load_system(config)
+    report = model.validate_assumptions(plant, controller, cl)
+    rows = _assumption_rows(report)
     width = max(len(r[0]) for r in rows)
     print("assumption checks")
     for label, ok in rows:
@@ -588,7 +598,10 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print("trajectory diverged: %s" % exc, file=sys.stderr)
         return EXIT_DIVERGED
-    except (AssumptionError, SynthesisError, NumericError, ZeroDivisionError) as exc:
+    except AssumptionError as exc:
+        print("assumption failure: %s" % exc, file=sys.stderr)
+        return EXIT_ASSUMPTION
+    except (SynthesisError, NumericError, ZeroDivisionError) as exc:
         print("design failure: %s" % exc, file=sys.stderr)
         return EXIT_ASSUMPTION
 

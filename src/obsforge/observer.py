@@ -223,25 +223,26 @@ def augmented_jacobian(closed_loop, design, obs) -> AugmentedJacobian:
 class CoupledField:
     """Vector field of the coupled system over columns S = [z; zhat].
 
-    In closed form sdot = J_tilde s + UV phi(s), where J_tilde is the
-    (z, zhat) Jacobian of :func:`augmented_jacobian`, phi(s) = [z'Qz;
-    zhat'Q zhat] is read off Qb s with Qb = blockdiag(Q, Q), and the two
-    columns of UV are u = [b; -l] and v = [0; b + l]. Calling it maps a
-    (2n, m) array, one state per column, to its (2n, m) derivative. The RK4
-    stepper builds its stage maps from the same three arrays, which are
-    read-only.
+    In factor form sdot = J_tilde s + K (C s)**2, squared entrywise, where
+    J_tilde is the (z, zhat) Jacobian of :func:`augmented_jacobian`. The
+    quadratic output only reads the plant: Q = blockdiag(Q_p, 0), so with
+    Q_p = U diag(lam) U' the forms are z'Qz = lam'(U' z_p)**2 and zhat'Q zhat
+    = lam'(U' zhat_p)**2. C = blockdiag(U', U') takes those 2 n_p factor rows
+    off the plant parts of z and zhat, and K = [u lam', v lam'] sends their
+    squares along u = [b; -l] and v = [0; b + l]. Calling it maps a (2n, m)
+    array, one state per column, to its (2n, m) derivative. The RK4 stepper
+    builds its stage maps from the same three arrays, which are read-only.
     """
 
     J_tilde: np.ndarray
-    Qb: np.ndarray
-    UV: np.ndarray
+    C: np.ndarray
+    K: np.ndarray
 
     def __call__(self, S):
-        QS = self.Qb @ S
-        QS *= S
-        phi = QS.reshape(2, S.shape[0] // 2, S.shape[1]).sum(axis=1)
-        dS = np.matmul(self.J_tilde, S, out=QS)
-        dS += self.UV @ phi
+        # the factor rows are freed before J_tilde S is formed: verify_decay
+        # calls this on every recorded instant at once, so temporaries count
+        dS = self.K @ np.square(self.C @ S)
+        dS += self.J_tilde @ S
         return dS
 
 
@@ -250,17 +251,21 @@ def coupled_field(closed_loop, design, obs) -> CoupledField:
 
     The observer sees the corrupted measurement ytilde = z'Qz + Hbar zhat
     rebuilt from the same (z, zhat), which gives the closed form of
-    :class:`CoupledField`.
+    :class:`CoupledField`. One ``eigh`` of Q_p gives its factors; every
+    eigenpair is kept, so no rank decision is made.
     """
-    n = closed_loop.n
+    n, n_p = closed_loop.n, closed_loop.n_p
     b = closed_loop.B[:, 0]
     l = obs.L[:, 0]
     u = np.concatenate([b, -l])
     v = np.concatenate([np.zeros(n), b + l])
-    Qb = np.kron(np.eye(2), closed_loop.Q)
-    UV = np.column_stack([u, v])
-    for M in (Qb, UV):
+    lam, U = np.linalg.eigh(closed_loop.Q_p)
+    C = np.zeros((2 * n_p, 2 * n))
+    C[:n_p, :n_p] = U.T
+    C[n_p:, n : n + n_p] = U.T
+    K = np.hstack([np.outer(u, lam), np.outer(v, lam)])
+    for M in (C, K):
         M.setflags(write=False)
     return CoupledField(
-        J_tilde=augmented_jacobian(closed_loop, design, obs).J_tilde, Qb=Qb, UV=UV
+        J_tilde=augmented_jacobian(closed_loop, design, obs).J_tilde, C=C, K=K
     )

@@ -11,15 +11,18 @@ held between steps. The field lives in :func:`observer.coupled_field`; its
 linear part is the augmented Jacobian J_tilde. Fixed step keeps runs
 deterministic bit-for-bit, which the golden tests rely on.
 
-In closed form the field is sdot = J_tilde s + UV phi(s), with the two
-quadratic forms phi(s) = [z'Qz; zhat'Q zhat]. Every RK4 stage point is
-then a fixed linear map of the state and the forms of the earlier stages,
-and so is the step result; :func:`_stage_maps` multiplies the tableau out
-into these maps once per run. A step is four matrix products over one
-buffer of states and stage forms, each followed by the forms of its
-columns. The state is held component-major, one sample per column, so
-every array operation runs over contiguous rows of length m; callers still
-pass and receive (samples, 2n) rows.
+In factor form the field is sdot = J_tilde s + K (C s)**2, squared
+entrywise: the quadratic output reads only the plant, Q = blockdiag(Q_p,
+0), so both forms z'Qz and zhat'Q zhat are sums of squares of 2 n_p factor
+rows C s. Every RK4 stage point is then a fixed linear map of the state and
+the squared factor rows of the earlier stages, and so is the step result;
+:func:`_stage_maps` multiplies the tableau out into these maps once per
+run. A step is three small products that write the factor rows of stages
+2 to 4 into one buffer of states and squared factor rows, then one product
+that gives the state's increment and the next factor rows. The state is
+held component-major, one sample per column, so every array operation runs
+over contiguous rows of length m; callers still pass and receive
+(samples, 2n) rows.
 
 Batch integration (used by the Monte Carlo checks) runs the same arithmetic
 over a stack of initial conditions; per-sample blow-ups are recorded, not
@@ -81,26 +84,29 @@ class Trajectory:
 
 
 def _stage_maps(field, dt):
-    """RK4 for sdot = J s + UV phi(s) as linear maps of X = [S; phi1; ...; phi4].
+    """RK4 for sdot = J s + K (C s)**2 as linear maps of X = [S; W1; ...; W4].
 
-    Stage point k is S_k = R_k X, where phi_j = phi(S_j) sits in rows
-    2n + 2(j-1) and 2n + 2j - 1 of X, and the step result is S' = R X. Each
-    map comes back stacked with its Q-factor rows, [R_k; Qb R_k], so one
-    product gives both S_k and Qb S_k, and cut to the leading columns it
-    reads: R_k reads S and the forms of the earlier stages only. Returns the
-    maps of stages 2, 3, 4 and of the step result, whose first rows hold the
-    increment D = R - [I 0] alone: the caller adds S, as RK4 does, because a
+    With r = 2 n_p factor rows, W_j = (C S_j)**2 sits in rows 2n + r(j-1) to
+    2n + rj - 1 of X. r rows suffice because Q = blockdiag(Q_p, 0): both
+    quadratic forms read only the plant parts of z and zhat. Stage point k is
+    S_k = R_k X and the step result is S' = R X, with K folded into the
+    columns of W_k. Only the factor rows of a stage point are ever used, so
+    the maps of stages 2, 3 and 4 come back as C R_k, cut to the leading
+    columns they read: R_k reads S and W of the earlier stages only. The
+    step map is [D; C(E + D)], E = [I 0], whose first rows hold the
+    increment D = R - E alone: the caller adds S, as RK4 does, because a
     rounded 1 + O(dt) on the diagonal of R would perturb every step alike
-    and compound over a run.
+    and compound over a run. Its last rows give the next state's factor
+    rows C S' in the same product.
     """
-    J, UV = field.J_tilde, field.UV
-    w = J.shape[0]
-    E = np.eye(w, w + 8)  # X -> S
+    J, C, K = field.J_tilde, field.C, field.K
+    w, r = K.shape
+    E = np.eye(w, w + 4 * r)  # X -> S
 
-    def slope(R, j):  # the field at S_j = R X, which has phi_j in X
-        K = J @ R
-        K[:, w + 2 * j : w + 2 * j + 2] += UV
-        return K
+    def slope(R, j):  # the field at S_j = R X, which has W_j in X
+        Kj = J @ R
+        Kj[:, w + r * j : w + r * (j + 1)] += K
+        return Kj
 
     k1 = slope(E, 0)
     R2 = E + 0.5 * dt * k1
@@ -110,27 +116,27 @@ def _stage_maps(field, dt):
     R4 = E + dt * k3
     k4 = slope(R4, 3)
     D = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    cut = [M[:, : w + 2 * j] for j, M in enumerate((R2, R3, R4), start=1)]
-    return [np.vstack([M, field.Qb @ M]) for M in cut] + [
-        np.vstack([D, field.Qb @ (E + D)])
-    ]
+    cut = [C @ M[:, : w + r * j] for j, M in enumerate((R2, R3, R4), start=1)]
+    return cut + [np.vstack([D, C @ (E + D)])]
 
 
 def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
     """Shared RK4 core.
 
     Takes S0 as (n_samples, 2n) rows and steps them component-major, one
-    state per column, in the buffer X = [S; phi1; phi2; phi3; phi4] of the
-    states and the quadratic forms of the four stages. A step is four
-    products with the stage maps of :func:`_stage_maps`, each followed by
-    phi = SUM (Qb S_k * S_k) written into its rows of X; the last product
-    gives the next state's increment and its stage-1 factor Qb S together.
+    state per column, in the buffer X = [S; W1; W2; W3; W4] of the states
+    and the squared factor rows of the four stages. A step is three
+    products with the stage maps of :func:`_stage_maps`, each written
+    straight into its W_j rows of X and squared there, then one product
+    with the step map, which gives the state's increment and the next
+    state's factor rows together; their squares are the next W1.
     Returns (times, states, blowup_times) where states has shape
     (n_records, n_samples, 2n); entries after a sample's divergence are NaN
     and blowup_times holds the first instant its norm exceeded the limit
     (NaN for samples that stayed finite).
     """
     m, w = S0.shape
+    r = field.K.shape[1]
     rec_idx = list(range(0, n_steps + 1, stride))
     if rec_idx[-1] != n_steps:
         rec_idx.append(n_steps)
@@ -143,27 +149,26 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
     safe = 0.5 * norm_limit / np.sqrt(w)
 
     *stages, step = _stage_maps(field, dt)
-    SUM = np.kron(np.eye(2), np.ones((1, w // 2)))  # (2, 2n) row sums per half
-    X = np.empty((w + 8, m))
-    phi = [X[w + 2 * j : w + 2 * j + 2] for j in range(4)]
+    X = np.empty((w + 4 * r, m))
+    S = X[:w]
+    W = [X[w + r * j : w + r * (j + 1)] for j in range(4)]
     reads = [X[: M.shape[1]] for M in stages]
-    G = np.empty((2 * w, m))  # [S_k; Qb S_k]
-    S, QS = G[:w], G[w:]
-    P = np.empty((w, m))  # Qb S_k * S_k, and |S| for the screen
+    G = np.empty((w + r, m))  # [D X; C S']
+    D, CS = G[:w], G[w:]
+    P = np.empty((w, m))  # |S| for the screen
 
     S[:] = S0.T
-    np.matmul(field.Qb, S, out=QS)
+    np.matmul(field.C, S, out=W[0])
+    np.square(W[0], out=W[0])
     out[0] = S0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            X[:w] = S  # G holds [S; Qb S] from the last product
-            for j in range(4):
-                if j:
-                    np.matmul(stages[j - 1], reads[j - 1], out=G)  # [S_j; Qb S_j]
-                np.multiply(QS, S, out=P)
-                np.matmul(SUM, P, out=phi[j])
+            for j in range(3):
+                np.matmul(stages[j], reads[j], out=W[j + 1])
+                np.square(W[j + 1], out=W[j + 1])
             np.matmul(step, X, out=G)
-            S += X[:w]
+            S += D
+            np.square(CS, out=W[0])
 
             np.abs(S, out=P)
             if not P.max(initial=0.0) <= safe:  # NaN and inf fail this too
@@ -172,7 +177,7 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
                 if np.any(bad):
                     blowup[bad] = k * dt
                     alive &= ~bad
-                    G[:, bad] = 0.0  # keep the arithmetic finite for the survivors
+                    X[:, bad] = 0.0  # keep the arithmetic finite for the survivors
             if k in rec_pos:
                 if alive.all():
                     out[rec_pos[k]] = S.T

@@ -51,6 +51,32 @@ def cert_instance(ref_system):
     return cl, design, obs, est
 
 
+@pytest.fixture(scope="session")
+def indefinite_case():
+    """A 3-state plant under a 2-state controller whose Q_p is indefinite and
+    singular: eigenvalues of both signs and a zero one, null vector (1, -1, 1).
+
+    Returns (closed_loop, design, observer) from the seeded default chain.
+    """
+    rng = np.random.default_rng(0)
+    A_p = rng.standard_normal((3, 3))
+    A_p -= (np.max(np.linalg.eigvals(A_p).real) + 1.0) * np.eye(3)
+    A_c = rng.standard_normal((2, 2))
+    A_c -= (np.max(np.linalg.eigvals(A_c).real) + 1.5) * np.eye(2)
+    Q_p = np.array([[1.0, 1.0, 0.0], [1.0, 0.5, -0.5], [0.0, -0.5, -0.5]])
+    plant = model.PlantModel(A_p=A_p, B_p=rng.standard_normal((3, 1)), Q_p=Q_p)
+    controller = model.ControllerModel(
+        A_c=A_c,
+        B_c=rng.standard_normal((2, 1)),
+        C_c=rng.standard_normal((1, 2)),
+        D_c=float(rng.standard_normal()),
+    )
+    cl = model.assemble(plant, controller)
+    assert model.validate_assumptions(plant, controller, cl).all_passed
+    design = attack.build_design(cl)
+    return cl, design, observer.design_gain(design, cl.B)
+
+
 @pytest.fixture
 def make_random_system():
     """Factory for random stable plant/controller pairs that pass validation."""

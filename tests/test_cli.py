@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -589,3 +590,43 @@ def test_edited_bundle_output_is_input_error(tmp_path, capsys, reference_bundle,
     bundle[section][key] = OUTPUT_EDITS[field](bundle[section][key])
     path = _write_config(tmp_path, bundle, "edited.json")
     _assert_bundle_refused(path, "bundle." + field, str(tmp_path / "o"), capsys)
+
+
+def test_bundle_breaking_assumptions_is_assumption_failure(tmp_path, capsys, reference_bundle):
+    # the replay checks the standing assumptions first, as synthesize does
+    bundle = copy.deepcopy(reference_bundle)
+    bundle["system"]["plant"]["A_p"][0][0] = 5.0
+    path = _write_config(tmp_path, bundle, "unstable.json")
+    for command in ("simulate", "roa"):
+        argv = [command, "--bundle", path, "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == cli.EXIT_ASSUMPTION, argv
+        assert "bundle.system fails loop matrix Hurwitz" in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e300])
+def test_huge_pi_star_designs_as_its_direction(tmp_path, capsys, reference_bundle, scale):
+    # the margins and the observability gate are judged on the direction of
+    # pi*, and gamma * pi* does not depend on its scale
+    out = str(tmp_path / "o")
+    argv = ["synthesize", "--pi=%r,%r" % (scale, -3.0 * scale),
+            "--poles=-9.5,-10.5,-11.5,-12.5", "--out", out]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == cli.EXIT_INFEASIBLE
+        bundle_path = os.path.join(out, "bundle.json")
+        assert cli.main(["roa", "--bundle", bundle_path, "--out", out]) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err == ""
+    bundle = _read_json(bundle_path)
+    for section, key in (("attack", "pi"), ("observer", "L")):
+        got, want = np.array(bundle[section][key]), np.array(reference_bundle[section][key])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), key
+    assert bundle["attack"]["gamma"] * scale == pytest.approx(reference_bundle["attack"]["gamma"], rel=1e-12)
+
+
+def test_pi_star_outside_double_range_is_input_error(tmp_path, capsys):
+    # 1/|Q_p pi*| overflows, so no gamma scales this pi* in double precision
+    argv = ["synthesize", "--pi=1e-320,-3e-320", "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == cli.EXIT_INPUT
+    assert "pi_star: scale 3.000e-320 puts gamma = inf" in capsys.readouterr().err

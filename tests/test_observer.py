@@ -93,6 +93,31 @@ def test_error_identity_sampled(ref_system, ref_design, ref_observer):
         assert np.linalg.norm(got_err - ref_err) <= 1e-10 * np.linalg.norm(ref_err)
 
 
+def test_coupled_field_indefinite_singular_qp(indefinite_case):
+    # factor form with n_p != n_c and Q_p of both signs plus a zero
+    # eigenvalue, against the written-out plant and observer fields
+    cl, design, obs = indefinite_case
+    field = observer.coupled_field(cl, design, obs)
+    assert field.C.shape == (2 * cl.n_p, 2 * cl.n)
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        z = rng.standard_normal(cl.n)
+        zhat = z + rng.standard_normal(cl.n)
+        ytilde = cl.output(z) + attack.attack_signal(design, zhat)
+        ref = np.concatenate([
+            observer.plant_rhs(cl, design, z, zhat),
+            observer.observer_rhs(cl, design, obs, zhat, ytilde),
+        ])
+        s_dot = field(np.concatenate([z, zhat])[:, None])[:, 0]
+        assert np.linalg.norm(s_dot - ref) <= 1e-10 * np.linalg.norm(ref)
+    # a state along Q_p's null vector has no quadratic term at all
+    z = np.zeros(cl.n)
+    z[:3] = (1.0, -1.0, 1.0)
+    s = np.concatenate([z, z])[:, None]
+    lin = field.J_tilde @ s
+    assert np.abs(field(s) - lin).max() <= 1e-14 * np.abs(lin).max()
+
+
 def test_error_rhs_zero_at_origin(ref_system, ref_design, ref_observer):
     _, _, cl = ref_system
     z = np.zeros(cl.n)

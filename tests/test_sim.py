@@ -210,9 +210,18 @@ def random_n8_field(make_random_system):
     return observer.coupled_field(cl, design, observer.design_gain(design, cl.B))
 
 
+@pytest.fixture
+def indefinite_field(indefinite_case):
+    return observer.coupled_field(*indefinite_case)
+
+
 # the box check's half-width on the reference design; some samples of the
-# random design (gain norm 132 against 30) blow up from 0.1 within 0.4 s
-@pytest.mark.parametrize("case, amplitude", [("reference_field", 0.5), ("random_n8_field", 0.01)])
+# random design (gain norm 132 against 30) blow up from 0.1 within 0.4 s;
+# the indefinite case has n_p = 3, n_c = 2 and a singular indefinite Q_p
+@pytest.mark.parametrize(
+    "case, amplitude",
+    [("reference_field", 0.5), ("random_n8_field", 0.01), ("indefinite_field", 0.1)],
+)
 @pytest.mark.parametrize("m", [1, 7, 500])
 @pytest.mark.parametrize("dt", [1e-3, 1e-2])
 def test_stage_maps_match_classic_rk4(request, case, amplitude, m, dt):
