@@ -1,11 +1,13 @@
 """Alternating parent/change pairs of the committed benchmark, as one JSON file.
 
     python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --seeds 13001,...,13010 \
-        [--workloads cli_pipeline,monte_carlo,design_sweep] [--seconds 25] \
+        [--workloads cli_pipeline,monte_carlo,design_sweep] \
         [--parent-label REV] [--about TEXT] [--notes TEXT] --out BENCH_N.json
 
 PARENT_TREE and CHANGE_TREE are two checkouts of the repository, each with
-its own ``perfbench/`` and ``src/``. For every workload, pair i runs
+its own ``perfbench/`` and ``src/``. The workloads (all by default) and the
+run length T come from the change tree's BENCHMARK.json, as do the metrics
+and their bounds. For every workload, pair i runs
 ``python3 perfbench/run.py --workload W --seed S_i --seconds T --trace 0``
 once in each tree; the parent runs first in even pairs and the change
 first in odd ones, so drift of the host does not favour one side. The
@@ -27,8 +29,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-
-WORKLOADS = ("cli_pipeline", "monte_carlo", "design_sweep")
 
 
 def run_once(tree, workload, seed, seconds):
@@ -89,19 +89,19 @@ def main():
     parser.add_argument("parent_tree", type=Path)
     parser.add_argument("change_tree", type=Path)
     parser.add_argument("--seeds", required=True, help="comma-separated, one per pair")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--workloads", help="comma-separated; default: all in BENCHMARK.json")
     parser.add_argument("--parent-label", default="")
     parser.add_argument("--about", default="")
     parser.add_argument("--notes", default="")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
-    workloads = args.workloads.split(",")
-    unknown = set(workloads) - set(WORKLOADS)
+    bench = json.loads((args.change_tree / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    workloads = args.workloads.split(",") if args.workloads else names
+    unknown = set(workloads) - set(names)
     if unknown:
         parser.error("unknown workloads %s" % sorted(unknown))
-    bench = json.loads((args.change_tree / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in bench["end_to_end"]}
 
     doc = {"about": args.about, "parent": args.parent_label, "workloads": {}, "notes": args.notes}
@@ -110,7 +110,7 @@ def main():
         for i, seed in enumerate(seeds):
             order = [("parent", args.parent_tree), ("change", args.change_tree)]
             for side, tree in order if i % 2 == 0 else order[::-1]:
-                ok, values = run_once(tree, workload, seed, args.seconds)
+                ok, values = run_once(tree, workload, seed, bench["run_seconds"])
                 done.append((side, ok, values))
                 print("%s pair %d %s: correct %s %s" % (workload, i, side, ok, json.dumps(values)),
                       flush=True)

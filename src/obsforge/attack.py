@@ -80,12 +80,10 @@ class ForbiddenSubspace:
         normal, so the max is the right aggregation.
         """
         pi = np.asarray(pi, dtype=float)
-        npi = np.linalg.norm(pi)
-        if npi == 0.0:
+        if not pi.any():
             return 0.0
-        return max(
-            abs(float(pi @ v)) / (npi * np.linalg.norm(v)) for v in self.normals
-        )
+        pi = _unit(pi)  # the clearance is scale-invariant; a huge pi must not overflow
+        return max(abs(float(pi @ v)) / np.linalg.norm(v) for v in self.normals)
 
 
 @dataclass(frozen=True)
@@ -333,8 +331,8 @@ def gamma_max(A, B, Q_p, pi_star, Y):
     """
     Q_p = np.asarray(Q_p, dtype=float)
     pi_star = np.asarray(pi_star, dtype=float)
-    with np.errstate(over="ignore"):  # past double range qpi is inf, gamma_max 0
-        qpi = math.hypot(*(Q_p @ pi_star))
+    scale = float(np.abs(pi_star).max())  # |Q_p pi*| taken on the direction, then scaled
+    qpi = math.hypot(*(Q_p @ (pi_star / scale))) * scale if scale else 0.0
     if qpi == 0.0:
         raise ZeroDivisionError(
             "Q_p @ pi_star = 0: pi* is annihilated by the quadratic form and "

@@ -353,10 +353,7 @@ def load_bundle(path):
     except ValidationError as exc:
         raise exc.under("bundle.system") from None
     cl = model.assemble(plant, controller)
-    report = model.validate_assumptions(plant, controller, cl)
-    if not report.all_passed:
-        failed = [label for label, ok in _assumption_rows(report) if not ok]
-        raise AssumptionError("bundle.system fails " + "; ".join(failed))
+    _check_assumptions(plant, controller, cl, "bundle.system")
     keys = {k.lower(): k for k in _STORED_KEYS}
     values = {f: _from_bundle(payload, "config." + k, float) for f, k in keys.items()}
     values["pi"] = _from_bundle(payload, "attack.pi_star", lambda pi: [float(x) for x in pi])
@@ -388,6 +385,18 @@ def _assumption_rows(report):
     ]
 
 
+def _check_assumptions(plant, controller, cl, where):
+    """Raise AssumptionError naming each standing assumption ``where`` fails.
+
+    Every path into _design_pipeline calls this first, so a loop that breaks
+    an assumption is reported as such and not as a failed design.
+    """
+    report = model.validate_assumptions(plant, controller, cl)
+    failed = [label for label, ok in _assumption_rows(report) if not ok]
+    if failed:
+        raise AssumptionError("%s fails %s" % (where, "; ".join(failed)))
+
+
 def cmd_validate(config):
     plant, controller, cl = _load_system(config)
     report = model.validate_assumptions(plant, controller, cl)
@@ -402,10 +411,7 @@ def cmd_validate(config):
 
 def cmd_synthesize(config):
     plant, controller, cl = _load_system(config)
-    report = model.validate_assumptions(plant, controller, cl)
-    if not report.all_passed:
-        print("standing assumptions failed; run the validate subcommand for details")
-        return EXIT_ASSUMPTION
+    _check_assumptions(plant, controller, cl, "system")
     design, obs, est = _design_pipeline(config, cl)
     payload = _bundle_payload(config, plant, controller, cl, design, obs, est)
     _write_json(os.path.join(config.out, "bundle.json"), payload)
@@ -458,7 +464,8 @@ def _design_for_run(config):
     """Either reuse a stored bundle or run the synthesis chain."""
     if config.bundle:
         return load_bundle(config.bundle)
-    _, _, cl = _load_system(config)
+    plant, controller, cl = _load_system(config)
+    _check_assumptions(plant, controller, cl, "system")
     return (cl,) + _design_pipeline(config, cl)
 
 

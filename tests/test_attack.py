@@ -240,6 +240,13 @@ def test_clearance_kernel_matches_margin_loop(make_random_system, monkeypatch):
                     per_sub = attack._clearances(fset, samples)
                     loop = np.array([[s.margin(p) for s in fset] for p in samples])
                     np.testing.assert_allclose(per_sub, loop, rtol=0, atol=1e-14)
+                    if plant.n_p == 2:  # the clearance of a huge pi is its direction's
+                        unit = np.array([1.0, -3.0]) / np.sqrt(10.0)
+                        np.testing.assert_allclose(
+                            [s.margin([1e300, -3e300]) for s in fset],
+                            attack._clearances(fset, unit)[0],
+                            rtol=0, atol=1e-14,
+                        )
                     worst = loop.min(axis=1)
                     np.testing.assert_allclose(
                         per_sub.min(axis=1), worst, rtol=0, atol=1e-14

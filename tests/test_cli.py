@@ -248,10 +248,20 @@ def test_synthesize_feasible_instance(tmp_path, capsys):
     assert "certificate feasible" in capsys.readouterr().out
 
 
-def test_synthesize_rejects_failed_assumptions(tmp_path):
+def test_synthesize_rejects_failed_assumptions(tmp_path, capsys):
     cfg = _write_config(tmp_path, SHARED_POLE_SYSTEM)
     code = cli.main(["synthesize", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == 1
+    assert code == cli.EXIT_ASSUMPTION
+    assert "system fails plant/controller spectra disjoint" in capsys.readouterr().err
+
+
+def test_run_from_config_rejects_failed_assumptions(tmp_path, capsys):
+    # simulate and roa design from --config through the same check as synthesize
+    cfg = _write_config(tmp_path, SHARED_POLE_SYSTEM)
+    for command in ("simulate", "roa"):
+        code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_ASSUMPTION, command
+        assert "system fails plant/controller spectra disjoint" in capsys.readouterr().err, command
 
 
 def test_simulate_reference_writes_artifacts(tmp_path):
