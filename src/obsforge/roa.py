@@ -17,6 +17,7 @@ plain convergence from a box of initial conditions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -211,8 +212,16 @@ def _seeded_rows(seed, n_samples, width, draw):
     states integrated from a row are not, bit for bit: integrate_batch's
     arithmetic depends on the batch width within rounding.
     """
-    rows = np.empty((n_samples, width))
-    for i in range(n_samples):
+    try:
+        count = operator.index(n_samples)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ValidationError(
+            "must be a nonnegative integer, got %r" % (n_samples,), field="n_samples"
+        )
+    rows = np.empty((count, width))
+    for i in range(count):
         rows[i] = draw(np.random.default_rng((seed, i)))
     return rows
 
@@ -375,6 +384,8 @@ def monte_carlo_box_check(
     w = float(box_halfwidth)
     if w < 0:
         raise ValidationError("must be nonnegative", field="box_halfwidth")
+    if not math.isfinite(2.0 * w):  # the width of the box numpy draws from
+        raise ValidationError("box width must be finite, got %r" % (w,), field="box_halfwidth")
     states = _seeded_rows(seed, n_samples, 2 * n, lambda rng: rng.uniform(-w, w, 2 * n))
     Z0, Zh0 = states[:, :n], states[:, n:]
 

@@ -26,11 +26,16 @@ over contiguous rows of length m; callers still pass and receive
 
 Batch integration (used by the Monte Carlo checks) runs the same arithmetic
 over a stack of initial conditions; per-sample blow-ups are recorded, not
-fatal.
+fatal. One sum of squares over all samples screens each step for blow-up,
+and only a step that fails it computes the per-sample norms. Records
+follow a schedule fixed before the loop, so a step that records nothing
+costs only its products, their squares and the screen.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,10 +131,22 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
     Takes S0 as (n_samples, 2n) rows and steps them component-major, one
     state per column, in the buffer X = [S; W1; W2; W3; W4] of the states
     and the squared factor rows of the four stages. A step is three
-    products with the stage maps of :func:`_stage_maps`, each written
-    straight into its W_j rows of X and squared there, then one product
-    with the step map, which gives the state's increment and the next
-    state's factor rows together; their squares are the next W1.
+    ``np.dot`` products with the stage maps of :func:`_stage_maps`, each
+    written straight into its W_j rows of X and squared there, then one
+    product with the step map, which gives the state's increment and the
+    next state's factor rows together; their squares are the next W1.
+
+    Divergence is screened once a step by the sum of squares of all of S:
+    if it is at most (norm_limit / 2)**2, clamped to the largest double, no
+    column's norm can pass the limit, and NaN or inf fail the comparison.
+    Only a failed screen computes the per-column norms that decide which
+    samples blew up, so the screen changes no blow-up time and no record.
+    A column whose squared norm overflows has norm inf and so counts as
+    diverged under any limit. Records follow a schedule fixed before the
+    loop: an iterator gives the step of the next record, and a flag says
+    whether every sample is still alive; it changes only when a column is
+    found bad.
+
     Returns (times, states, blowup_times) where states has shape
     (n_records, n_samples, 2n); entries after a sample's divergence are NaN
     and blowup_times holds the first instant its norm exceeded the limit
@@ -140,61 +157,74 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
     rec_idx = list(range(0, n_steps + 1, stride))
     if rec_idx[-1] != n_steps:
         rec_idx.append(n_steps)
-    rec_pos = {k: i for i, k in enumerate(rec_idx)}
     out = np.full((len(rec_idx), m, w), np.nan)
     blowup = np.full(m, np.nan)
     alive = np.ones(m, dtype=bool)
-    # max |entry| <= safe keeps every column norm under norm_limit / 2, so
-    # the per-column norms are needed only on steps that fail this screen
-    safe = 0.5 * norm_limit / np.sqrt(w)
+    all_alive = True
+    # a square past double range would let inf pass; the largest double fails it
+    safe = min(0.25 * norm_limit * norm_limit, np.finfo(float).max)
+    schedule = iter(enumerate(rec_idx[1:], start=1))  # (record, step); step 0 ends it
+    rec, rec_step = next(schedule, (0, 0))
 
-    *stages, step = _stage_maps(field, dt)
+    M2, M3, M4, step = _stage_maps(field, dt)
     X = np.empty((w + 4 * r, m))
     S = X[:w]
-    W = [X[w + r * j : w + r * (j + 1)] for j in range(4)]
-    reads = [X[: M.shape[1]] for M in stages]
+    W1, W2, W3, W4 = (X[w + r * j : w + r * (j + 1)] for j in range(4))
+    X2, X3, X4 = (X[: M.shape[1]] for M in (M2, M3, M4))
     G = np.empty((w + r, m))  # [D X; C S']
     D, CS = G[:w], G[w:]
-    P = np.empty((w, m))  # |S| for the screen
+    dot, square, vdot = np.dot, np.square, np.vdot
 
     S[:] = S0.T
-    np.matmul(field.C, S, out=W[0])
-    np.square(W[0], out=W[0])
     out[0] = S0
     with np.errstate(over="ignore", invalid="ignore"):
+        dot(field.C, S, out=W1)
+        square(W1, out=W1)
         for k in range(1, n_steps + 1):
-            for j in range(3):
-                np.matmul(stages[j], reads[j], out=W[j + 1])
-                np.square(W[j + 1], out=W[j + 1])
-            np.matmul(step, X, out=G)
+            dot(M2, X2, out=W2)
+            square(W2, out=W2)
+            dot(M3, X3, out=W3)
+            square(W3, out=W3)
+            dot(M4, X4, out=W4)
+            square(W4, out=W4)
+            dot(step, X, out=G)
             S += D
-            np.square(CS, out=W[0])
+            square(CS, out=W1)
 
-            np.abs(S, out=P)
-            if not P.max(initial=0.0) <= safe:  # NaN and inf fail this too
+            if not vdot(S, S) <= safe:
                 norms = np.linalg.norm(S, axis=0)
                 bad = alive & ~(norms <= norm_limit)  # catches inf and NaN too
-                if np.any(bad):
+                if bad.any():
                     blowup[bad] = k * dt
                     alive &= ~bad
+                    all_alive = False
                     X[:, bad] = 0.0  # keep the arithmetic finite for the survivors
-            if k in rec_pos:
-                if alive.all():
-                    out[rec_pos[k]] = S.T
+            if k == rec_step:
+                if all_alive:
+                    out[rec] = S.T
                 else:
-                    row = out[rec_pos[k]]
+                    row = out[rec]
                     row[alive] = S.T[alive]
+                rec, rec_step = next(schedule, (0, 0))
     times = np.asarray(rec_idx, dtype=float) * dt
     return times, out, blowup
 
 
-def _check_steps(dt, T):
-    if not dt > 0:
-        raise ValidationError("must be positive", field="dt")
+def _check_steps(dt, T, stride):
+    """The number of steps of size dt in [0, T]; bad dt, T or stride raise ValidationError."""
+    if not 0 < dt < math.inf:
+        raise ValidationError("must be positive and finite", field="dt")
+    if not math.isfinite(T / dt):
+        raise ValidationError("horizon must span a finite number of steps", field="T")
     if T < dt:
         raise ValidationError("horizon must be at least one step", field="T")
-    n_steps = int(round(T / dt))
-    return n_steps
+    try:
+        positive = operator.index(stride) >= 1
+    except TypeError:
+        positive = False
+    if not positive:
+        raise ValidationError("must be a positive integer, got %r" % (stride,), field="stride")
+    return int(round(T / dt))
 
 
 def integrate(closed_loop, design, obs, z0, zhat0, dt=DEFAULT_DT, T=DEFAULT_T, stride=1):
@@ -210,7 +240,7 @@ def integrate(closed_loop, design, obs, z0, zhat0, dt=DEFAULT_DT, T=DEFAULT_T, s
         raise ValidationError(
             "initial states must have length %d" % n, field="z0/zhat0"
         )
-    n_steps = _check_steps(dt, T)
+    n_steps = _check_steps(dt, T, stride)
     field = coupled_field(closed_loop, design, obs)
     S0 = np.concatenate([z0, zhat0])[None, :]
     times, states, blowup = _rk4_batch(field, S0, dt, n_steps, stride, NORM_LIMIT)
@@ -261,7 +291,9 @@ def integrate_batch(
         raise ValidationError(
             "batch shapes must match and have width %d" % n, field="z0_batch"
         )
-    n_steps = _check_steps(dt, T)
+    n_steps = _check_steps(dt, T, stride)
+    if not norm_limit > 0:  # the screen squares the limit, which would lose its sign
+        raise ValidationError("must be positive, got %r" % (norm_limit,), field="norm_limit")
     field = coupled_field(closed_loop, design, obs)
     S0 = np.concatenate([Z0, Zh0], axis=1)
     times, states, blowup = _rk4_batch(field, S0, dt, n_steps, stride, norm_limit)

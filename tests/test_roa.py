@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -245,6 +246,38 @@ def test_box_check_rejects_negative_width(cert_instance):
     cl, design, obs, _ = cert_instance
     with pytest.raises(ValidationError, match="nonnegative"):
         roa.monte_carlo_box_check(cl, design, obs, box_halfwidth=-1.0)
+
+
+@pytest.mark.parametrize("halfwidth", [np.nan, np.inf, 1e308])
+def test_box_check_rejects_width_numpy_cannot_draw(cert_instance, halfwidth):
+    # 1e308 is finite, but the box it spans, 2e308, is not
+    cl, design, obs, _ = cert_instance
+    with pytest.raises(ValidationError) as excinfo:
+        roa.monte_carlo_box_check(cl, design, obs, box_halfwidth=halfwidth)
+    assert excinfo.value.field == "box_halfwidth"
+
+
+@pytest.mark.parametrize("n_samples", [-1, 2.5])
+def test_monte_carlo_checks_reject_bad_sample_counts(cert_instance, n_samples):
+    cl, design, obs, est = cert_instance
+    with pytest.raises(ValidationError) as box:
+        roa.monte_carlo_box_check(cl, design, obs, n_samples=n_samples)
+    with pytest.raises(ValidationError) as decay:
+        roa.verify_decay(cl, design, obs, est, n_samples=n_samples)
+    assert box.value.field == decay.value.field == "n_samples"
+
+
+def test_box_check_overflowing_start_is_silent(cert_instance):
+    # the squares of 1e300 starts overflow from the very first factor rows;
+    # that is divergence data, recorded without any RuntimeWarning
+    cl, design, obs, _ = cert_instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = roa.monte_carlo_box_check(
+            cl, design, obs, box_halfwidth=1e300, n_samples=4, horizon=0.01
+        )
+    assert report.n_diverged == 4
+    assert [s["blowup_time"] for s in report.per_sample] == [1e-3] * 4
 
 
 def test_box_check_records_divergence(ref_system, ref_design, ref_observer):

@@ -1,6 +1,7 @@
 """Tests for the RK4 integrator, the decay fit, and the trajectory exports."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ def test_integrate_batch_matches_single_runs(ref_system, ref_design, ref_observe
 
 def test_integrate_batch_divergence_semantics(ref_system, ref_design, ref_observer):
     # a growing row, a row that starts non-finite and two survivors; the
-    # per-column norm runs only when the max-abs screen fails
+    # per-column norm runs only on steps whose sum of squares fails the screen
     _, _, cl = ref_system
     Z0 = np.array([[0.1] * 4, [50.0] * 4, [np.nan, 0.0, 0.0, 0.0], [-0.2] * 4])
     times, Z, Zh, blowup = sim.integrate_batch(
@@ -238,6 +239,113 @@ def test_stage_maps_match_classic_rk4(request, case, amplitude, m, dt):
         assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=1)), (r, err.max())
 
 
+def _matmul_rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
+    """Reference for sim._rk4_batch: the same stage maps stepped with
+    np.matmul, a max-abs screen over a scratch buffer, per-record dict
+    lookups and a per-record ``alive.all()``. The stepper must equal it bit
+    for bit while no column's squared norm leaves double range (see
+    test_rk4_batch_screen_past_double_range)."""
+    m, w = S0.shape
+    r = field.K.shape[1]
+    rec_idx = list(range(0, n_steps + 1, stride))
+    if rec_idx[-1] != n_steps:
+        rec_idx.append(n_steps)
+    rec_pos = {k: i for i, k in enumerate(rec_idx)}
+    out = np.full((len(rec_idx), m, w), np.nan)
+    blowup = np.full(m, np.nan)
+    alive = np.ones(m, dtype=bool)
+    safe = 0.5 * norm_limit / np.sqrt(w)
+
+    *stages, step = sim._stage_maps(field, dt)
+    X = np.empty((w + 4 * r, m))
+    S = X[:w]
+    W = [X[w + r * j : w + r * (j + 1)] for j in range(4)]
+    reads = [X[: M.shape[1]] for M in stages]
+    G = np.empty((w + r, m))
+    D, CS = G[:w], G[w:]
+    P = np.empty((w, m))
+
+    S[:] = S0.T
+    out[0] = S0
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(field.C, S, out=W[0])
+        np.square(W[0], out=W[0])
+        for k in range(1, n_steps + 1):
+            for j in range(3):
+                np.matmul(stages[j], reads[j], out=W[j + 1])
+                np.square(W[j + 1], out=W[j + 1])
+            np.matmul(step, X, out=G)
+            S += D
+            np.square(CS, out=W[0])
+
+            np.abs(S, out=P)
+            if not P.max(initial=0.0) <= safe:
+                norms = np.linalg.norm(S, axis=0)
+                bad = alive & ~(norms <= norm_limit)
+                if np.any(bad):
+                    blowup[bad] = k * dt
+                    alive &= ~bad
+                    X[:, bad] = 0.0
+            if k in rec_pos:
+                if alive.all():
+                    out[rec_pos[k]] = S.T
+                else:
+                    row = out[rec_pos[k]]
+                    row[alive] = S.T[alive]
+    return np.asarray(rec_idx, dtype=float) * dt, out, blowup
+
+
+@pytest.mark.parametrize("m", [1, 7, 33, 500])
+@pytest.mark.parametrize("start", ["finite", "diverging", "nan"])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_rk4_batch_bitwise_matches_matmul_loop(reference_field, m, start, stride):
+    # np.dot and np.matmul reach the same BLAS routine, and the screen and
+    # the record schedule only decide when work runs, so every output is
+    # the reference loop's to the bit. Row 0 starts NaN or grows past each
+    # limit: gradually past 1e3 (819 to 1202 at step 20), at once past 1e9,
+    # and only as NaN past 1e300, whose squared half overflows
+    S0 = np.random.default_rng(m).uniform(-0.5, 0.5, (m, 8))
+    if start == "diverging":
+        S0[0] = 50.0
+    elif start == "nan":
+        S0[0, 2] = np.nan
+    for norm_limit in (1e3, 1e9, 1e300):
+        got = sim._rk4_batch(reference_field, S0, 1e-3, 60, stride, norm_limit)
+        want = _matmul_rk4_batch(reference_field, S0, 1e-3, 60, stride, norm_limit)
+        assert np.isfinite(got[2][0]) == (start != "finite")
+        for g, r in zip(got, want):
+            assert np.array_equal(g, r, equal_nan=True), norm_limit
+
+
+def test_rk4_batch_screen_past_double_range():
+    # sdot = 1000 s grows e-fold a step. Past 1.3e154 a column's squared
+    # norm overflows, so its computed norm is inf and it counts as diverged
+    # under any limit: the column starting at 1e140 does so at step 33, and
+    # the screen's threshold (1e300 / 2)**2, clamped to the largest double,
+    # must let the inf sum of squares fail
+    w = 2
+    field = types.SimpleNamespace(J_tilde=1e3 * np.eye(w), C=np.zeros((1, w)), K=np.zeros((w, 1)))
+    S0 = np.array([[1e140, 0.0], [1.0, -1.0]])
+    times, states, blowup = sim._rk4_batch(field, S0, 1e-3, 40, 1, 1e300)
+    assert blowup[0] == 33 * 1e-3 and np.isnan(blowup[1])
+    assert np.isfinite(states[:33, 0]).all() and np.isnan(states[33:, 0]).all()
+    assert np.isfinite(states[:, 1]).all()
+
+
+def test_rk4_batch_screen_failing_on_healthy_columns(reference_field):
+    # 500 columns of norm 1 against norm_limit 10: the sum of squares
+    # exceeds (10 / 2)**2 on every step, so the exact per-column check runs
+    # each time, finds nothing and must leave the run as a limit of 1e9 does
+    S0 = np.random.default_rng(5).standard_normal((500, 8))
+    S0 /= np.linalg.norm(S0, axis=1)[:, None]
+    tight = sim._rk4_batch(reference_field, S0, 1e-3, 50, 1, 10.0)
+    loose = sim._rk4_batch(reference_field, S0, 1e-3, 50, 1, 1e9)
+    assert np.all(np.einsum("tsi,tsi->t", tight[1], tight[1]) > 25.0)
+    assert not np.isfinite(tight[2]).any()
+    for t, l in zip(tight, loose):
+        assert np.array_equal(t, l, equal_nan=True)  # blow-up times are all NaN
+
+
 def test_integrate_validates_inputs(ref_system, ref_design, ref_observer):
     _, _, cl = ref_system
     z0 = np.zeros(4)
@@ -249,6 +357,32 @@ def test_integrate_validates_inputs(ref_system, ref_design, ref_observer):
         sim.integrate(cl, ref_design, ref_observer, np.zeros(3), z0)
     with pytest.raises(ValidationError, match="width"):
         sim.integrate_batch(cl, ref_design, ref_observer, np.zeros((2, 3)), np.zeros((2, 3)))
+    for limit in (0.0, -1.0, np.nan):
+        with pytest.raises(ValidationError, match="norm_limit"):
+            sim.integrate_batch(cl, ref_design, ref_observer, z0[None], z0[None], norm_limit=limit)
+
+
+@pytest.mark.parametrize(
+    "knobs, field",
+    [
+        ({"stride": 0}, "stride"),
+        ({"stride": -3}, "stride"),
+        ({"stride": 2.5}, "stride"),
+        ({"T": np.inf}, "T"),
+        ({"T": np.nan}, "T"),
+        ({"dt": np.inf}, "dt"),
+        ({"dt": np.nan}, "dt"),
+        ({"dt": 1e-300, "T": 1e300}, "T"),
+    ],
+)
+def test_step_checks_name_the_bad_knob(ref_system, ref_design, ref_observer, knobs, field):
+    _, _, cl = ref_system
+    z0 = np.zeros(4)
+    with pytest.raises(ValidationError) as single:
+        sim.integrate(cl, ref_design, ref_observer, z0, z0, **knobs)
+    with pytest.raises(ValidationError) as batch:
+        sim.integrate_batch(cl, ref_design, ref_observer, z0[None], z0[None], **knobs)
+    assert single.value.field == batch.value.field == field
 
 
 def _synthetic_traj(times, e_norms, z_norms=None):
