@@ -239,11 +239,7 @@ class CoupledField:
     K: np.ndarray
 
     def __call__(self, S):
-        # the factor rows are freed before J_tilde S is formed: verify_decay
-        # calls this on every recorded instant at once, so temporaries count
-        dS = self.K @ np.square(self.C @ S)
-        dS += self.J_tilde @ S
-        return dS
+        return self.J_tilde @ S + self.K @ np.square(self.C @ S)
 
 
 def coupled_field(closed_loop, design, obs) -> CoupledField:

@@ -299,34 +299,45 @@ def verify_decay(
     Z0 = samples[:, :n]
     E0 = samples[:, n:]
 
-    times, Z, Zh, blowup = integrate_batch(
+    # per sample: the running largest margin (Vdot + delta V)/V over the
+    # finite V > 0 records (-inf before any), whether there was such a
+    # record, whether every finite V stayed in the set, and V at t = 0
+    field = coupled_field(closed_loop, design, obs)
+    bound = estimate.level * (1.0 + 1e-9)
+    margin = np.full(n_samples, -math.inf)
+    any_pos = np.zeros(n_samples, dtype=bool)
+    inside = np.ones(n_samples, dtype=bool)
+    V0 = np.empty(n_samples)
+
+    def fold(rec, S, alive):
+        # analytic Vdot = 2 x'P xdot with x = (z, e) at this record
+        x = S.copy()
+        if alive is not None:
+            x[:, ~alive] = math.nan  # the stepper zeroes diverged samples
+        xdot = field(x)
+        x[n:] -= x[:n]
+        xdot[n:] -= xdot[:n]
+        Px = P @ x
+        V = np.einsum("ir,ir->r", Px, x)
+        Vdot = 2.0 * np.einsum("ir,ir->r", Px, xdot)
+        finite = np.isfinite(V)
+        pos = finite & (V > 0)
+        ratios = np.divide(Vdot + estimate.delta * V, V, out=np.full(V.shape, -math.inf), where=pos)
+        np.maximum(margin, ratios, out=margin)  # NaN sticks, as under max
+        np.logical_or(any_pos, pos, out=any_pos)
+        np.logical_and(inside, ~finite | (V <= bound), out=inside)
+        if rec == 0:
+            V0[:] = V
+
+    _, _, _, blowup = integrate_batch(
         closed_loop, design, obs, Z0, Z0 + E0, dt=dt, T=horizon, stride=stride,
-        norm_limit=1e6,
+        norm_limit=1e6, fold=fold,
     )
 
-    # analytic Vdot = 2 x'P xdot with x = (z, e), at every recorded instant
-    # of every sample in one field evaluation; NaN columns stay NaN
-    shape = Z.shape[:2]
-    x = np.empty((2 * n, Z.shape[0] * Z.shape[1]))
-    x[:n] = Z.reshape(-1, n).T
-    x[n:] = Zh.reshape(-1, n).T
-    del Z, Zh  # free the recorded states before the field's temporaries
-    xdot = coupled_field(closed_loop, design, obs)(x)
-    x[n:] -= x[:n]
-    xdot[n:] -= xdot[:n]
-    Px = P @ x
-    V = np.einsum("ir,ir->r", Px, x).reshape(shape)
-    Vdot = 2.0 * np.einsum("ir,ir->r", Px, xdot).reshape(shape)
-    del x, xdot, Px  # free the states before the verdicts' temporaries
-
-    # one column per sample; the margin (Vdot + delta V)/V should stay
-    # <= tol_decay over the finite V > 0 records, and is 0.0 without any
+    # the margin should stay <= tol_decay, and is 0.0 without any V > 0 record
     diverged = np.isfinite(blowup)
-    finite = np.isfinite(V)
-    pos = finite & (V > 0)
-    ratios = np.divide(Vdot + estimate.delta * V, V, out=np.full(V.shape, -math.inf), where=pos)
-    margin = np.where(pos.any(axis=0), ratios.max(axis=0), 0.0)
-    inside = ~diverged & np.all(~finite | (V <= estimate.level * (1.0 + 1e-9)), axis=0)
+    margin = np.where(any_pos, margin, 0.0)
+    inside &= ~diverged
     satisfied = ~diverged & (margin <= tol_decay)
     return DecayReport(
         n_samples=n_samples,
@@ -342,7 +353,7 @@ def verify_decay(
         per_sample=_per_sample(
             satisfied=satisfied.tolist(), margin=margin.tolist(),
             stayed_inside=inside.tolist(), diverged=diverged.tolist(),
-            V0=V[0].tolist(),
+            V0=V0.tolist(),
         ),
     )
 
@@ -389,24 +400,36 @@ def monte_carlo_box_check(
     states = _seeded_rows(seed, n_samples, 2 * n, lambda rng: rng.uniform(-w, w, 2 * n))
     Z0, Zh0 = states[:, :n], states[:, n:]
 
-    times, Z, Zh, blowup = integrate_batch(
+    # per sample: the norm of (z, e) at t = 0, its running peak over the
+    # records (NaN ones never win) and its value at the last record
+    initial = np.empty(n_samples)
+    peak = np.full(n_samples, math.nan)
+    final = np.empty(n_samples)
+
+    def fold(rec, S, alive):
+        # (samples, 2n) rows, as a record holds them, so the sums round alike
+        rows = S.T.copy()
+        if alive is not None:
+            rows[~alive] = math.nan  # the stepper zeroes diverged samples
+        Z, E = rows[:, :n], rows[:, n:] - rows[:, :n]
+        norm = np.sqrt(np.einsum("si,si->s", Z, Z) + np.einsum("si,si->s", E, E))
+        if rec == 0:
+            initial[:] = norm
+        np.fmax(peak, norm, out=peak)
+        final[:] = norm
+
+    _, _, _, blowup = integrate_batch(
         closed_loop, design, obs, Z0, Zh0, dt=dt, T=horizon, stride=stride,
-        norm_limit=1e6,
-    )
-    E = Zh - Z
-    combined = np.sqrt(
-        np.einsum("tsi,tsi->ts", Z, Z) + np.einsum("tsi,tsi->ts", E, E)
+        norm_limit=1e6, fold=fold,
     )
 
-    # one column per sample; records after a blow-up are NaN, so a diverged
-    # sample's final norm reads inf, and so does its peak if no record is finite
+    # a diverged sample's last record is NaN, so its final norm reads inf,
+    # and so does its peak if no record is finite
     diverged = np.isfinite(blowup)
-    initial = combined[0]
-    final = np.where(np.isfinite(combined[-1]), combined[-1], math.inf)
+    final[~np.isfinite(final)] = math.inf
     converged = ~diverged & np.where(
         initial == 0.0, final == 0.0, final < 1e-3 * initial
     )
-    peak = np.fmax.reduce(combined, axis=0)
     peak[np.isnan(peak)] = math.inf
     per_sample = _per_sample(
         converged=converged.tolist(), initial_norm=initial.tolist(),

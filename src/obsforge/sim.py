@@ -29,7 +29,10 @@ over a stack of initial conditions; per-sample blow-ups are recorded, not
 fatal. One sum of squares over all samples screens each step for blow-up,
 and only a step that fails it computes the per-sample norms. Records
 follow a schedule fixed before the loop, so a step that records nothing
-costs only its products, their squares and the screen.
+costs only its products, their squares and the screen. Each record goes
+to a fold, ``fold(rec, S, alive)``: the default one fills the record array
+that :func:`integrate` and :func:`integrate_batch` return, and the Monte
+Carlo checks pass folds that keep only O(samples) state.
 """
 
 from __future__ import annotations
@@ -125,7 +128,19 @@ def _stage_maps(field, dt):
     return cut + [np.vstack([D, C @ (E + D)])]
 
 
-def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
+def _record_fold(out):
+    """The default fold: each record's live rows into the NaN-filled ``out``."""
+
+    def fold(rec, S, alive):
+        if alive is None:
+            out[rec] = S.T
+        else:
+            out[rec][alive] = S.T[alive]
+
+    return fold
+
+
+def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold=None):
     """Shared RK4 core.
 
     Takes S0 as (n_samples, 2n) rows and steps them component-major, one
@@ -141,23 +156,36 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
     column's norm can pass the limit, and NaN or inf fail the comparison.
     Only a failed screen computes the per-column norms that decide which
     samples blew up, so the screen changes no blow-up time and no record.
-    A column whose squared norm overflows has norm inf and so counts as
-    diverged under any limit. Records follow a schedule fixed before the
-    loop: an iterator gives the step of the next record, and a flag says
-    whether every sample is still alive; it changes only when a column is
-    found bad.
+    Those norms are scaled (``np.hypot.reduce``), so a column counts as
+    diverged when its norm passes the limit or is not finite, also for
+    limits whose square leaves double range. Records follow a schedule
+    fixed before the loop: an iterator gives the step of the next record,
+    and a flag says whether every sample is still alive; it changes only
+    when a column is found bad.
 
-    Returns (times, states, blowup_times) where states has shape
-    (n_records, n_samples, 2n); entries after a sample's divergence are NaN
-    and blowup_times holds the first instant its norm exceeded the limit
-    (NaN for samples that stayed finite).
+    ``fold(rec, S, alive)`` runs at record 0 (the initial state) and at
+    every scheduled record, in order. S is the (2n, n_samples) state, one
+    sample per column; alive is None while every sample is alive and the
+    boolean mask of live samples after that. Both are the stepper's own
+    buffers: a fold reads them during the call, writes neither and keeps
+    no reference. A diverged sample's column holds zeros, not its state.
+    Without a fold the default one fills a NaN-initialised record array.
+
+    Returns (times, states, blowup_times). states has shape
+    (n_records, n_samples, 2n) without a fold, entries after a sample's
+    divergence NaN, and is None with one. blowup_times holds the first
+    instant a sample's norm exceeded the limit (NaN for samples that
+    stayed finite).
     """
     m, w = S0.shape
     r = field.K.shape[1]
     rec_idx = list(range(0, n_steps + 1, stride))
     if rec_idx[-1] != n_steps:
         rec_idx.append(n_steps)
-    out = np.full((len(rec_idx), m, w), np.nan)
+    out = None
+    if fold is None:
+        out = np.full((len(rec_idx), m, w), np.nan)
+        fold = _record_fold(out)
     blowup = np.full(m, np.nan)
     alive = np.ones(m, dtype=bool)
     all_alive = True
@@ -176,7 +204,7 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
     dot, square, vdot = np.dot, np.square, np.vdot
 
     S[:] = S0.T
-    out[0] = S0
+    fold(0, S, None)
     with np.errstate(over="ignore", invalid="ignore"):
         dot(field.C, S, out=W1)
         square(W1, out=W1)
@@ -192,7 +220,7 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
             square(CS, out=W1)
 
             if not vdot(S, S) <= safe:
-                norms = np.linalg.norm(S, axis=0)
+                norms = np.hypot.reduce(S, axis=0)  # no square to overflow
                 bad = alive & ~(norms <= norm_limit)  # catches inf and NaN too
                 if bad.any():
                     blowup[bad] = k * dt
@@ -200,11 +228,7 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
                     all_alive = False
                     X[:, bad] = 0.0  # keep the arithmetic finite for the survivors
             if k == rec_step:
-                if all_alive:
-                    out[rec] = S.T
-                else:
-                    row = out[rec]
-                    row[alive] = S.T[alive]
+                fold(rec, S, None if all_alive else alive)
                 rec, rec_step = next(schedule, (0, 0))
     times = np.asarray(rec_idx, dtype=float) * dt
     return times, out, blowup
@@ -275,6 +299,7 @@ def integrate_batch(
     T=DEFAULT_T,
     stride=1,
     norm_limit=NORM_LIMIT,
+    fold=None,
 ):
     """Integrate a stack of initial conditions with shared arithmetic.
 
@@ -283,6 +308,11 @@ def integrate_batch(
     Each row gets the arithmetic of :func:`integrate`, but BLAS picks its
     kernel by the batch width, so a row's states are not bit-identical
     across widths: on states of order 1 they agree within 1e-15 absolute.
+
+    With ``fold``, no record is kept: the stepper calls ``fold(rec, S,
+    alive)`` at the initial state and at every record instead (see
+    :func:`_rk4_batch`; S is (2n, n_samples), z above zhat, and a diverged
+    sample's column is zero), and z and z_hat come back as None.
     """
     n = closed_loop.n
     Z0 = np.atleast_2d(np.asarray(z0_batch, dtype=float))
@@ -296,7 +326,9 @@ def integrate_batch(
         raise ValidationError("must be positive, got %r" % (norm_limit,), field="norm_limit")
     field = coupled_field(closed_loop, design, obs)
     S0 = np.concatenate([Z0, Zh0], axis=1)
-    times, states, blowup = _rk4_batch(field, S0, dt, n_steps, stride, norm_limit)
+    times, states, blowup = _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold)
+    if states is None:
+        return times, None, None, blowup
     return times, states[:, :, :n], states[:, :, n:], blowup
 
 

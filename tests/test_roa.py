@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -400,6 +401,147 @@ def test_verify_decay_per_sample_matches_loop(cert_instance, scale):
     assert report.n_diverged == sum(s["diverged"] for s in expected)
     assert report.fraction_satisfied == sum(s["satisfied"] for s in expected) / m
     assert report.all_inside == all(s["stayed_inside"] for s in expected)
+
+
+def _box_report_by_record(cl, design, obs, box_halfwidth=0.5, n_samples=500, horizon=5.0,
+                          seed=0, dt=1e-3, stride=50):
+    """Reference for monte_carlo_box_check: integrate with the full state
+    record, then reduce the (records, samples) norm table column by column."""
+    n, w = cl.n, float(box_halfwidth)
+    states = roa._seeded_rows(seed, n_samples, 2 * n, lambda rng: rng.uniform(-w, w, 2 * n))
+    _, Z, Zh, blowup = sim.integrate_batch(
+        cl, design, obs, states[:, :n], states[:, n:], dt=dt, T=horizon, stride=stride,
+        norm_limit=1e6,
+    )
+    E = Zh - Z
+    combined = np.sqrt(np.einsum("tsi,tsi->ts", Z, Z) + np.einsum("tsi,tsi->ts", E, E))
+    diverged = np.isfinite(blowup)
+    initial = combined[0]
+    final = np.where(np.isfinite(combined[-1]), combined[-1], math.inf)
+    converged = ~diverged & np.where(initial == 0.0, final == 0.0, final < 1e-3 * initial)
+    peak = np.fmax.reduce(combined, axis=0)
+    peak[np.isnan(peak)] = math.inf
+    return roa.BoxReport(
+        n_samples=n_samples, seed=seed, box_halfwidth=w, horizon=float(horizon),
+        fraction_converged=int(converged.sum()) / n_samples if n_samples else 1.0,
+        max_transient_norm=float(peak.max(initial=0.0)),
+        n_diverged=int(diverged.sum()),
+        per_sample=roa._per_sample(
+            converged=converged.tolist(), initial_norm=initial.tolist(),
+            final_norm=final.tolist(), peak_norm=peak.tolist(), diverged=diverged.tolist(),
+            blowup_time=[t if d else None for t, d in zip(blowup.tolist(), diverged.tolist())],
+        ),
+    )
+
+
+def _decay_report_by_record(cl, design, obs, est, n_samples=200, seed=7, dt=1e-3,
+                            horizon=2.0, stride=10, tol_decay=roa.TOL_DECAY):
+    """Reference for verify_decay: integrate with the full state record, then
+    evaluate V and Vdot on every record of every sample in one field call."""
+    n = cl.n
+    P = np.zeros((2 * n, 2 * n))
+    P[:n, :n], P[n:, n:] = est.P1, est.P2
+    evals, evecs = np.linalg.eigh(P)
+    sqrt_evals = np.sqrt(evals)
+    samples = roa._seeded_rows(
+        seed, n_samples, 2 * n,
+        lambda rng: roa._sample_in_ellipsoid(evecs, sqrt_evals, est.level, rng),
+    )
+    _, Z, Zh, blowup = sim.integrate_batch(
+        cl, design, obs, samples[:, :n], samples[:, :n] + samples[:, n:], dt=dt, T=horizon,
+        stride=stride, norm_limit=1e6,
+    )
+    shape = Z.shape[:2]
+    x = np.empty((2 * n, shape[0] * shape[1]))
+    x[:n] = Z.reshape(-1, n).T
+    x[n:] = Zh.reshape(-1, n).T
+    xdot = observer.coupled_field(cl, design, obs)(x)
+    x[n:] -= x[:n]
+    xdot[n:] -= xdot[:n]
+    Px = P @ x
+    V = np.einsum("ir,ir->r", Px, x).reshape(shape)
+    Vdot = 2.0 * np.einsum("ir,ir->r", Px, xdot).reshape(shape)
+    diverged = np.isfinite(blowup)
+    finite = np.isfinite(V)
+    pos = finite & (V > 0)
+    ratios = np.divide(Vdot + est.delta * V, V, out=np.full(V.shape, -math.inf), where=pos)
+    margin = np.where(pos.any(axis=0), ratios.max(axis=0), 0.0)
+    inside = ~diverged & np.all(~finite | (V <= est.level * (1.0 + 1e-9)), axis=0)
+    satisfied = ~diverged & (margin <= tol_decay)
+    return roa.DecayReport(
+        n_samples=n_samples, seed=seed, delta=est.delta, level=est.level, tol_decay=tol_decay,
+        fraction_satisfied=int(satisfied.sum()) / n_samples if n_samples else 1.0,
+        worst_margin=float(np.fmax.reduce(margin, initial=-math.inf)) if n_samples else 0.0,
+        all_inside=bool(inside.all()),
+        n_diverged=int(diverged.sum()),
+        per_sample=roa._per_sample(
+            satisfied=satisfied.tolist(), margin=margin.tolist(),
+            stayed_inside=inside.tolist(), diverged=diverged.tolist(), V0=V[0].tolist(),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "knobs, diverging",
+    [
+        (dict(seed=0), False),
+        (dict(seed=1), False),
+        (dict(seed=2), False),
+        (dict(box_halfwidth=3.0, n_samples=100, seed=1), True),
+        (dict(n_samples=40, horizon=1.0, stride=37, seed=4), False),  # 37 does not divide 1000
+        (dict(n_samples=0, horizon=0.5), False),
+        (dict(n_samples=1, horizon=0.5), False),
+    ],
+)
+def test_box_check_matches_record_reduction(ref_system, ref_design, ref_observer, knobs, diverging):
+    """The per-record fold gives the report of reducing the full record, exactly."""
+    _, _, cl = ref_system
+    report = roa.monte_carlo_box_check(cl, ref_design, ref_observer, **knobs)
+    assert report == _box_report_by_record(cl, ref_design, ref_observer, **knobs)
+    assert (report.n_diverged > 0) == diverging
+
+
+@pytest.mark.parametrize(
+    "scale, knobs, diverging",
+    [
+        (1.0, dict(seed=0), False),
+        (1.0, dict(seed=1), False),
+        (1.0, dict(seed=2), False),
+        (1e6, dict(n_samples=60, seed=3), True),  # far outside the certified set
+        (1.0, dict(n_samples=40, horizon=1.0, stride=37, seed=4), False),
+        (1.0, dict(n_samples=0, horizon=0.5), False),
+        (1.0, dict(n_samples=1, horizon=0.5), False),
+    ],
+)
+def test_verify_decay_matches_record_reduction(cert_instance, scale, knobs, diverging):
+    """The per-record fold gives the report of reducing the full record, exactly."""
+    cl, design, obs, est = cert_instance
+    est = replace(est, level=est.level * scale)
+    report = roa.verify_decay(cl, design, obs, est, **knobs)
+    assert report == _decay_report_by_record(cl, design, obs, est, **knobs)
+    assert (report.n_diverged > 0) == diverging
+
+
+def test_monte_carlo_checks_keep_no_state_record(cert_instance):
+    # the default box check records 101 states of 500 samples (3.2 MB) and
+    # verify_decay 201 of 200 (2.6 MB) if it keeps the run; folding each
+    # record as it comes keeps only per-sample arrays and the report. A
+    # small warm-up call first, so that numpy's one-off first-call
+    # allocations do not count against the check
+    cl, design, obs, est = cert_instance
+    roa.monte_carlo_box_check(cl, design, obs, n_samples=2, horizon=0.1)
+    roa.verify_decay(cl, design, obs, est, n_samples=2, horizon=0.1)
+    for check in (
+        lambda: roa.monte_carlo_box_check(cl, design, obs),
+        lambda: roa.verify_decay(cl, design, obs, est, n_samples=200),
+    ):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def test_box_check_reference_subset_converges(ref_system, ref_design, ref_observer):

@@ -125,6 +125,32 @@ def test_integrate_batch_divergence_semantics(ref_system, ref_design, ref_observ
         assert np.allclose(Zh[:, i], traj.z_hat, rtol=0, atol=1e-13)
 
 
+def test_integrate_batch_fold_sees_every_record(ref_system, ref_design, ref_observer):
+    # a fold gets record 0 and every scheduled record in order, the state
+    # as (2n, samples) columns, and the live mask once a sample has blown
+    # up; with NaN in the dead columns it rebuilds the default record
+    _, _, cl = ref_system
+    n = cl.n
+    Z0 = np.array([[0.1] * 4, [50.0] * 4, [-0.2] * 4])
+    kw = dict(dt=1e-3, T=0.1, stride=7, norm_limit=1e9)
+    times, Z, Zh, blowup = sim.integrate_batch(cl, ref_design, ref_observer, Z0, -Z0, **kw)
+    seen = []
+
+    def fold(rec, S, alive):
+        assert S.shape == (2 * n, 3) and rec == len(seen)
+        rows = S.T.copy()
+        if alive is not None:
+            assert not alive.all()
+            rows[~alive] = np.nan
+        seen.append(rows)
+
+    got = sim.integrate_batch(cl, ref_design, ref_observer, Z0, -Z0, fold=fold, **kw)
+    assert got[1] is None and got[2] is None
+    assert np.array_equal(got[0], times) and np.array_equal(got[3], blowup, equal_nan=True)
+    assert np.isfinite(blowup[1]) and len(seen) == len(times) == 16  # 100 steps, stride 7
+    assert np.array_equal(np.stack(seen), np.concatenate([Z, Zh], axis=2), equal_nan=True)
+
+
 def test_integrate_batch_matches_plain_rk4(ref_system, ref_design, ref_observer):
     # independent oracle: textbook RK4 over the written-out right-hand sides
     _, _, cl = ref_system
@@ -242,9 +268,10 @@ def test_stage_maps_match_classic_rk4(request, case, amplitude, m, dt):
 def _matmul_rk4_batch(field, S0, dt, n_steps, stride, norm_limit):
     """Reference for sim._rk4_batch: the same stage maps stepped with
     np.matmul, a max-abs screen over a scratch buffer, per-record dict
-    lookups and a per-record ``alive.all()``. The stepper must equal it bit
-    for bit while no column's squared norm leaves double range (see
-    test_rk4_batch_screen_past_double_range)."""
+    lookups, a per-record ``alive.all()``, direct writes of the record and
+    an unscaled norm check. The stepper must equal it bit for bit while no
+    live column's norm lies between 1.3e154, where the squares of that norm
+    overflow, and the limit (see test_rk4_batch_screen_past_double_range)."""
     m, w = S0.shape
     r = field.K.shape[1]
     rec_idx = list(range(0, n_steps + 1, stride))
@@ -318,18 +345,20 @@ def test_rk4_batch_bitwise_matches_matmul_loop(reference_field, m, start, stride
 
 
 def test_rk4_batch_screen_past_double_range():
-    # sdot = 1000 s grows e-fold a step. Past 1.3e154 a column's squared
-    # norm overflows, so its computed norm is inf and it counts as diverged
-    # under any limit: the column starting at 1e140 does so at step 33, and
-    # the screen's threshold (1e300 / 2)**2, clamped to the largest double,
-    # must let the inf sum of squares fail
+    # sdot = 1000 s multiplies a column by 1 + 1 + 1/2 + 1/6 + 1/24 a step.
+    # Past 1.3e154 the sum of squares overflows, so every step fails the
+    # screen, whose threshold (1e300 / 2)**2 is clamped to the largest
+    # double. The exact check's scaled norms then pass 1e300 only when a
+    # column does: the one from 1e290 at step 24 (8.9e299 after 23 steps),
+    # while the one from 1e140 ends near 2e157 and stays alive
     w = 2
     field = types.SimpleNamespace(J_tilde=1e3 * np.eye(w), C=np.zeros((1, w)), K=np.zeros((w, 1)))
-    S0 = np.array([[1e140, 0.0], [1.0, -1.0]])
+    S0 = np.array([[1e290, 0.0], [1e140, -1e140], [1.0, -1.0]])
     times, states, blowup = sim._rk4_batch(field, S0, 1e-3, 40, 1, 1e300)
-    assert blowup[0] == 33 * 1e-3 and np.isnan(blowup[1])
-    assert np.isfinite(states[:33, 0]).all() and np.isnan(states[33:, 0]).all()
-    assert np.isfinite(states[:, 1]).all()
+    assert blowup[0] == 24 * 1e-3 and np.isnan(blowup[1:]).all()
+    assert np.isfinite(states[:24, 0]).all() and np.isnan(states[24:, 0]).all()
+    assert 8e299 < states[23, 0, 0] < 1e300
+    assert np.isfinite(states[:, 1:]).all() and states[-1, 1, 0] > 1e157
 
 
 def test_rk4_batch_screen_failing_on_healthy_columns(reference_field):
