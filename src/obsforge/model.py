@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import eig, spectral_abscissa
+from .numerics import TOL_HURWITZ, eig, spectral_abscissa
 from .report import Reported, read_json
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "system_from_dict",
 ]
 
-TOL_HURWITZ = 1e-9
 TOL_GAP = 1e-9
 TOL_SYM = 1e-12
 

@@ -33,6 +33,8 @@ __all__ = [
 
 #: relative residual allowed on eigenpairs and Lyapunov solutions
 TOL_RESIDUAL = 1e-8
+#: Hurwitz margin: every eigenvalue must have Re lambda < -TOL_HURWITZ
+TOL_HURWITZ = 1e-9
 
 
 @dataclass(frozen=True)
@@ -219,15 +221,15 @@ def spectral_norm(M):
     return float(np.linalg.norm(M, 2))
 
 
-def lambda_min_sym(M, tol=1e-12):
+def lambda_min_sym(M):
     """Smallest eigenvalue of a symmetric matrix.
 
-    Raises ValueError if the input is asymmetric beyond ``tol`` relative,
+    Raises ValueError if the input is asymmetric beyond 1e-12 relative,
     since the real-spectrum reading would silently be wrong there.
     """
     M = np.asarray(M, dtype=float)
     scale = max(np.abs(M).max(), 1.0)
-    if not np.allclose(M, M.T, atol=tol * scale, rtol=0.0):
+    if not np.allclose(M, M.T, atol=1e-12 * scale, rtol=0.0):
         raise ValueError(
             "lambda_min_sym requires a symmetric matrix; asymmetry %.3e"
             % np.abs(M - M.T).max()
@@ -240,9 +242,9 @@ def spectral_abscissa(M):
     return float(np.max(np.linalg.eigvals(np.asarray(M, dtype=float)).real))
 
 
-def is_hurwitz(M, tol=1e-9):
-    """True when every eigenvalue satisfies Re lambda < -tol."""
-    return spectral_abscissa(M) < -tol
+def is_hurwitz(M):
+    """True when every eigenvalue satisfies Re lambda < -TOL_HURWITZ."""
+    return spectral_abscissa(M) < -TOL_HURWITZ
 
 
 def spectrum_distance(got, target):

@@ -30,9 +30,10 @@ fatal. One sum of squares over all samples screens each step for blow-up,
 and only a step that fails it computes the per-sample norms. Records
 follow a schedule fixed before the loop, so a step that records nothing
 costs only its products, their squares and the screen. Each record goes
-to a fold, ``fold(rec, S, alive)``: the default one fills the record array
-that :func:`integrate` and :func:`integrate_batch` return, and the Monte
-Carlo checks pass folds that keep only O(samples) state.
+to a fold, ``fold(rec, S)``, with S the (2n, samples) state and NaN in the
+columns of samples that have diverged: the default one fills the record
+array that :func:`integrate` and :func:`integrate_batch` return, and the
+Monte Carlo checks pass folds that keep only O(samples) state.
 """
 
 from __future__ import annotations
@@ -129,13 +130,10 @@ def _stage_maps(field, dt):
 
 
 def _record_fold(out):
-    """The default fold: each record's live rows into the NaN-filled ``out``."""
+    """The default fold: each record's rows into ``out``."""
 
-    def fold(rec, S, alive):
-        if alive is None:
-            out[rec] = S.T
-        else:
-            out[rec][alive] = S.T[alive]
+    def fold(rec, S):
+        out[rec] = S.T
 
     return fold
 
@@ -158,18 +156,19 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold=None):
     samples blew up, so the screen changes no blow-up time and no record.
     Those norms are scaled (``np.hypot.reduce``), so a column counts as
     diverged when its norm passes the limit or is not finite, also for
-    limits whose square leaves double range. Records follow a schedule
-    fixed before the loop: an iterator gives the step of the next record,
-    and a flag says whether every sample is still alive; it changes only
-    when a column is found bad.
+    limits whose square leaves double range. A diverged sample's column
+    of X is zeroed, so its norm stays 0 and never trips the limit again.
+    Records follow a schedule fixed before the loop: an iterator gives the
+    step of the next record.
 
-    ``fold(rec, S, alive)`` runs at record 0 (the initial state) and at
-    every scheduled record, in order. S is the (2n, n_samples) state, one
-    sample per column; alive is None while every sample is alive and the
-    boolean mask of live samples after that. Both are the stepper's own
-    buffers: a fold reads them during the call, writes neither and keeps
-    no reference. A diverged sample's column holds zeros, not its state.
-    Without a fold the default one fills a NaN-initialised record array.
+    ``fold(rec, S)`` runs at record 0 (the initial state) and at every
+    scheduled record, in order. S is the (2n, n_samples) state, one sample
+    per column, with NaN in the column of every sample that has diverged:
+    the stepper's own buffer while every sample lives, a masked copy after
+    the first blow-up. Record 0 is the start as given, non-finite entries
+    included. A fold reads S during the call, writes nothing to it and
+    keeps no reference. Without a fold the default one fills the record
+    array.
 
     Returns (times, states, blowup_times). states has shape
     (n_records, n_samples, 2n) without a fold, entries after a sample's
@@ -184,10 +183,9 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold=None):
         rec_idx.append(n_steps)
     out = None
     if fold is None:
-        out = np.full((len(rec_idx), m, w), np.nan)
+        out = np.empty((len(rec_idx), m, w))
         fold = _record_fold(out)
     blowup = np.full(m, np.nan)
-    alive = np.ones(m, dtype=bool)
     all_alive = True
     # a square past double range would let inf pass; the largest double fails it
     safe = min(0.25 * norm_limit * norm_limit, np.finfo(float).max)
@@ -204,7 +202,7 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold=None):
     dot, square, vdot = np.dot, np.square, np.vdot
 
     S[:] = S0.T
-    fold(0, S, None)
+    fold(0, S)
     with np.errstate(over="ignore", invalid="ignore"):
         dot(field.C, S, out=W1)
         square(W1, out=W1)
@@ -221,14 +219,13 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold=None):
 
             if not vdot(S, S) <= safe:
                 norms = np.hypot.reduce(S, axis=0)  # no square to overflow
-                bad = alive & ~(norms <= norm_limit)  # catches inf and NaN too
+                bad = ~(norms <= norm_limit)  # catches inf and NaN too
                 if bad.any():
                     blowup[bad] = k * dt
-                    alive &= ~bad
                     all_alive = False
                     X[:, bad] = 0.0  # keep the arithmetic finite for the survivors
             if k == rec_step:
-                fold(rec, S, None if all_alive else alive)
+                fold(rec, S if all_alive else np.where(np.isnan(blowup), S, np.nan))
                 rec, rec_step = next(schedule, (0, 0))
     times = np.asarray(rec_idx, dtype=float) * dt
     return times, out, blowup
@@ -309,10 +306,10 @@ def integrate_batch(
     kernel by the batch width, so a row's states are not bit-identical
     across widths: on states of order 1 they agree within 1e-15 absolute.
 
-    With ``fold``, no record is kept: the stepper calls ``fold(rec, S,
-    alive)`` at the initial state and at every record instead (see
-    :func:`_rk4_batch`; S is (2n, n_samples), z above zhat, and a diverged
-    sample's column is zero), and z and z_hat come back as None.
+    With ``fold``, no record is kept: the stepper calls ``fold(rec, S)``
+    at the initial state and at every record instead (see
+    :func:`_rk4_batch`; S is (2n, n_samples), z above zhat, NaN in a
+    diverged sample's column), and z and z_hat come back as None.
     """
     n = closed_loop.n
     Z0 = np.atleast_2d(np.asarray(z0_batch, dtype=float))

@@ -127,27 +127,27 @@ def test_integrate_batch_divergence_semantics(ref_system, ref_design, ref_observ
 
 def test_integrate_batch_fold_sees_every_record(ref_system, ref_design, ref_observer):
     # a fold gets record 0 and every scheduled record in order, the state
-    # as (2n, samples) columns, and the live mask once a sample has blown
-    # up; with NaN in the dead columns it rebuilds the default record
+    # as (2n, samples) columns with NaN in the columns of diverged samples,
+    # so its rows are the default record; a NaN start passes record 0 as is
     _, _, cl = ref_system
     n = cl.n
-    Z0 = np.array([[0.1] * 4, [50.0] * 4, [-0.2] * 4])
+    Z0 = np.array([[0.1] * 4, [50.0] * 4, [-0.2] * 4, [np.nan] * 4])
     kw = dict(dt=1e-3, T=0.1, stride=7, norm_limit=1e9)
     times, Z, Zh, blowup = sim.integrate_batch(cl, ref_design, ref_observer, Z0, -Z0, **kw)
     seen = []
 
-    def fold(rec, S, alive):
-        assert S.shape == (2 * n, 3) and rec == len(seen)
-        rows = S.T.copy()
-        if alive is not None:
-            assert not alive.all()
-            rows[~alive] = np.nan
-        seen.append(rows)
+    def fold(rec, S):
+        assert S.shape == (2 * n, 4) and rec == len(seen)
+        seen.append(S.T.copy())
 
     got = sim.integrate_batch(cl, ref_design, ref_observer, Z0, -Z0, fold=fold, **kw)
     assert got[1] is None and got[2] is None
     assert np.array_equal(got[0], times) and np.array_equal(got[3], blowup, equal_nan=True)
-    assert np.isfinite(blowup[1]) and len(seen) == len(times) == 16  # 100 steps, stride 7
+    assert blowup[3] == 1e-3 and blowup[1] == times[3]  # 0.021 s, the record at step 21
+    assert len(seen) == len(times) == 16  # 100 steps, stride 7
+    assert np.array_equal(seen[0], np.concatenate([Z0, -Z0], axis=1), equal_nan=True)
+    for t, rows in zip(times, seen):  # a dead sample reads NaN, never zeros
+        assert np.isnan(rows[blowup <= t]).all()
     assert np.array_equal(np.stack(seen), np.concatenate([Z, Zh], axis=2), equal_nan=True)
 
 
