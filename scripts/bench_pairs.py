@@ -16,8 +16,11 @@ failed share, their medians and quartiles (numpy's linear percentiles),
 and a comparison per metric: how many pairs the change won (ties count for
 neither side), the ratio of the medians, the parent's interquartile
 spread, whether the medians differ by more than that spread, and whether
-the change stays within the bound BENCHMARK.json fixes. The file is
-rewritten after every pair, so an interrupted run keeps what it measured.
+the change stays within the bound BENCHMARK.json fixes. After a
+workload's pairs, one ``--trace 1`` run per tree on the first seed gives
+the per-layer metrics of both sides, stored under ``per_layer`` as
+``{metric: {"parent": value, "change": value}}``. The file is rewritten
+after every pair, so an interrupted run keeps what it measured.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from pathlib import Path
 import numpy as np
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace=0):
     """One benchmark run in ``tree``: (correct, {metric: value, failed_share})."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
     lines = [l for l in proc.stdout.splitlines() if l.startswith("{")]
@@ -121,6 +124,11 @@ def main():
             }
             doc["workloads"][workload] = rec
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        traced = {side: run_once(tree, workload, seeds[0], bench["run_seconds"], trace=1)[1]
+                  for side, tree in (("parent", args.parent_tree), ("change", args.change_tree))}
+        rec["per_layer"] = {name: {side: values[name] for side, values in traced.items()}
+                            for name in sorted(traced["parent"])}
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 if __name__ == "__main__":

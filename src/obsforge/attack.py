@@ -144,7 +144,9 @@ def _forbidden_from_blocks(A_p, A_c, BpCc, Q_p) -> ForbiddenSet:
     plant_pairs = eig(A_p)
     ctrl_pairs = eig(A_c)
     for name, pairs in (("plant", plant_pairs), ("controller", ctrl_pairs)):
-        cond = np.linalg.cond(pairs.vectors)
+        # np.linalg.cond's ratio, with its inf for a singular matrix
+        sv = np.linalg.svd(pairs.vectors, compute_uv=False)
+        cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
         if cond > _COND_DEFECTIVE:
             warnings.warn(
                 "%s matrix looks defective (eigenvector condition %.3e); "

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import TOL_HURWITZ, eig, spectral_abscissa
+from .numerics import TOL_HURWITZ, eig, spectral_abscissa, spectral_norm
 from .report import Reported, read_json
 
 __all__ = [
@@ -203,7 +203,7 @@ def validate_assumptions(plant, controller, closed_loop) -> AssumptionReport:
     lam_p = eig(plant.A_p).values
     lam_c = eig(controller.A_c).values
     gap = float(np.abs(lam_p[:, None] - lam_c[None, :]).min())
-    bpcc = float(np.linalg.norm(plant.B_p @ controller.C_c, 2))
+    bpcc = spectral_norm(plant.B_p @ controller.C_c)
     # PlantModel construction already rejects asymmetric Q_p; recheck the
     # assembled block so a hand-built ClosedLoop is caught too
     Qp = closed_loop.Q_p

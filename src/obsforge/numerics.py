@@ -7,7 +7,9 @@ reads one gain row per target off the PBH pencil [pI - F; -H]. Complex
 arithmetic stays inside this module; returned gains and solutions are real.
 The module needs numpy only: spectra are matched by a plain-Python
 assignment solver, because importing ``scipy.optimize`` costs more than
-every call made here.
+every call made here. For the same reason the kernels call the LAPACK-backed
+numpy routine directly: at n <= 16, numpy's generic wrappers
+(``norm(ord=2)``, ``allclose``, ``kron``) cost more than the kernels they wrap.
 """
 
 from __future__ import annotations
@@ -123,6 +125,9 @@ def solve_lyapunov(A, Y):
     -----
     Solved by Kronecker vectorization, (I kron A' + A' kron I) vec(S) =
     -vec(Y), then symmetrized. O(n^6) but transparent, fine at desk scale.
+    The operator is filled block by block, A' on the diagonal blocks plus
+    A'[p, s] I in block (p, s), in the order the two Kronecker products would
+    add, so it equals their sum entry for entry.
     """
     A = np.asarray(A, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -131,10 +136,13 @@ def solve_lyapunov(A, Y):
         raise ValueError(
             "shape mismatch: A %s vs Y %s" % (A.shape, Y.shape)
         )
-    I = np.eye(n)
-    K = np.kron(I, A.T) + np.kron(A.T, I)
+    # K[p, q, s, t] is row p*n + q, column s*n + t of the (n^2, n^2) operator
+    K = np.zeros((n, n, n, n))
+    i = np.arange(n)
+    K[i, :, i, :] = A.T
+    K[:, i, :, i] += A.T
     try:
-        vecS = np.linalg.solve(K, -Y.reshape(n * n, order="F"))
+        vecS = np.linalg.solve(K.reshape(n * n, n * n), -Y.reshape(n * n, order="F"))
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             "Lyapunov system is singular (A has eigenvalue pairs summing to "
@@ -218,21 +226,24 @@ def spectral_norm(M):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def lambda_min_sym(M):
     """Smallest eigenvalue of a symmetric matrix.
 
     Raises ValueError if the input is asymmetric beyond 1e-12 relative,
-    since the real-spectrum reading would silently be wrong there.
+    since the real-spectrum reading would silently be wrong there, and if
+    an entry is NaN or infinite, which has no smallest eigenvalue to read.
     """
     M = np.asarray(M, dtype=float)
     scale = max(np.abs(M).max(), 1.0)
-    if not np.allclose(M, M.T, atol=1e-12 * scale, rtol=0.0):
+    if not scale < math.inf:
+        raise ValueError("lambda_min_sym requires finite entries")
+    asymmetry = np.abs(M - M.T).max()
+    if not asymmetry <= 1e-12 * scale:
         raise ValueError(
-            "lambda_min_sym requires a symmetric matrix; asymmetry %.3e"
-            % np.abs(M - M.T).max()
+            "lambda_min_sym requires a symmetric matrix; asymmetry %.3e" % asymmetry
         )
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
 

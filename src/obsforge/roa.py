@@ -75,6 +75,8 @@ def _check_weight(W, n, field):
     W = np.asarray(W, dtype=float)
     if W.shape != (n, n):
         raise ValidationError("expected shape (%d, %d)" % (n, n), field=field)
+    if not np.all(np.isfinite(W)):
+        raise ValidationError("must have finite entries", field=field)
     if np.abs(W - W.T).max() > 1e-12 * max(1.0, np.abs(W).max()):
         raise ValidationError("must be symmetric", field=field)
     if np.linalg.eigvalsh(W)[0] <= 0:

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from obsforge import attack, model
 from obsforge.errors import ConditioningWarning, SynthesisError, ValidationError
-from obsforge.numerics import is_hurwitz
+from obsforge.numerics import EigenPairs, is_hurwitz
 
 
 def _pair(cl, pi):
@@ -73,6 +73,32 @@ def test_forbidden_defective_matrix_warns():
     )
     with pytest.warns(ConditioningWarning):
         attack.forbidden_set(plant, controller)
+
+
+def test_forbidden_singular_eigenvectors_read_inf_condition(monkeypatch):
+    # np.linalg.cond's reading of a singular matrix: inf, and no RuntimeWarning
+    plant = model.PlantModel(
+        A_p=np.diag([-1.0, -2.0]), B_p=np.array([[1.0], [1.0]]), Q_p=np.eye(2)
+    )
+    controller = model.ControllerModel(
+        A_c=np.array([[-3.0]]), B_c=np.array([[1.0]]), C_c=np.array([[1.0]]), D_c=1.0
+    )
+    singular = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    assert np.linalg.cond(singular) == np.inf
+    real_eig = attack.eig
+
+    def eig(M):
+        pairs = real_eig(M)
+        if M.shape != (2, 2):
+            return pairs
+        return EigenPairs(values=pairs.values, vectors=singular)
+
+    monkeypatch.setattr(attack, "eig", eig)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        attack.forbidden_set(plant, controller)
+    assert [w.category for w in caught] == [ConditioningWarning]
+    assert "plant matrix looks defective (eigenvector condition inf)" in str(caught[0].message)
 
 
 def test_margin_semantics():

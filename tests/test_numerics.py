@@ -1,11 +1,16 @@
+import struct
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.signal
 from scipy.optimize import linear_sum_assignment
 
-from obsforge.errors import NumericError
+from obsforge import attack, model, numerics, observer, roa, sim
+from obsforge.errors import AssumptionError, NumericError, SynthesisError, ValidationError
 from obsforge.numerics import (
+    TOL_RESIDUAL,
     _min_cost_matching,
     eig,
     is_hurwitz,
@@ -204,6 +209,147 @@ def test_lambda_min_sym_rejects_asymmetric():
     with pytest.raises(ValueError):
         lambda_min_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
     assert lambda_min_sym(np.diag([2.0, 5.0])) == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# The kernels call LAPACK-backed numpy routines directly; these are the
+# generic-wrapper forms they replaced, kept as bit-identity references.
+
+
+def ref_spectral_norm(M):
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.size == 0:
+        return 0.0
+    return float(np.linalg.norm(M, 2))
+
+
+def ref_solve_lyapunov(A, Y):
+    A = np.asarray(A, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    n = A.shape[0]
+    if A.shape != (n, n) or Y.shape != (n, n):
+        raise ValueError("shape mismatch: A %s vs Y %s" % (A.shape, Y.shape))
+    I = np.eye(n)
+    K = np.kron(I, A.T) + np.kron(A.T, I)
+    try:
+        vecS = np.linalg.solve(K, -Y.reshape(n * n, order="F"))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("Lyapunov system is singular: %s" % exc) from exc
+    S = vecS.reshape((n, n), order="F")
+    S = 0.5 * (S + S.T)
+    resid = ref_spectral_norm(A.T @ S + S @ A + Y)
+    if resid > TOL_RESIDUAL * ref_spectral_norm(Y):
+        raise NumericError("Lyapunov residual %.3e exceeds %.1e * ||Y||" % (resid, TOL_RESIDUAL))
+    if np.any(np.linalg.eigvalsh(S) <= 0):
+        raise NumericError(
+            "Lyapunov solution is not positive definite "
+            "(lambda_min = %.3e); is A Hurwitz?" % np.linalg.eigvalsh(S).min()
+        )
+    return S
+
+
+def ref_lambda_min_sym(M):
+    M = np.asarray(M, dtype=float)
+    scale = max(np.abs(M).max(), 1.0)
+    if not np.allclose(M, M.T, atol=1e-12 * scale, rtol=0.0):
+        raise ValueError("lambda_min_sym requires a symmetric matrix")
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+
+
+def _hurwitz(rng, n):
+    A = rng.standard_normal((n, n))
+    return A - (np.max(np.linalg.eigvals(A).real) + rng.uniform(0.5, 2.0)) * np.eye(n)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_spectral_norm_equals_norm_ord2(n):
+    rng = np.random.default_rng([17, n])
+    for shape in ((1, n), (n, 1), (n, n)):
+        M = rng.standard_normal(shape)
+        assert np.array_equal(spectral_norm(M), ref_spectral_norm(M))
+    for M in (np.zeros((n, n)), np.zeros((0, n)), np.zeros((n, 0))):
+        assert np.array_equal(spectral_norm(M), ref_spectral_norm(M))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_solve_lyapunov_equals_kron_operator_solve(n):
+    rng = np.random.default_rng([18, n])
+    for _ in range(3):
+        A = _hurwitz(rng, n)
+        M = rng.standard_normal((n, n))
+        Y = M @ M.T + np.eye(n)
+        assert np.array_equal(solve_lyapunov(A, Y), ref_solve_lyapunov(A, Y))
+
+
+def test_lambda_min_sym_symmetry_threshold_unchanged():
+    # a lone asymmetric pair just inside and just past the 1e-12 * scale bound
+    rng = np.random.default_rng(19)
+    M = rng.standard_normal((6, 6))
+    M = 4.0 * (M + M.T)
+    bound = 1e-12 * np.abs(M).max()
+    for factor in (0.0, 0.5, 0.999, 1.0, 1.001, 2.0):
+        P = M.copy()
+        P[1, 4] += factor * bound
+        try:
+            want = ref_lambda_min_sym(P)
+        except ValueError:
+            with pytest.raises(ValueError):
+                lambda_min_sym(P)
+        else:
+            assert np.array_equal(lambda_min_sym(P), want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lambda_min_sym_rejects_nonfinite(bad):
+    M = np.eye(3)
+    M[0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            lambda_min_sym(M)
+        with pytest.raises(ValueError):
+            lambda_min_sym(np.full((2, 2), bad))
+
+
+def _bits(x):
+    return [struct.pack("<d", v) for v in np.ravel(np.asarray(x, dtype=float))]
+
+
+def _chain(plant, controller, cl, seed):
+    """design_sweep's fingerprint of one design chain: the five fields, or the error."""
+    try:
+        model.validate_assumptions(plant, controller, cl)
+        design = attack.build_design(cl, seed=seed)
+        obs = observer.design_gain(design, cl.B)
+        est = roa.certify(cl, design, obs)
+    except (AssumptionError, NumericError, SynthesisError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return [_bits(v) for v in (design.gamma_max, design.pi, obs.L, est.c1, est.c3)]
+
+
+def test_design_chain_bit_identical_to_reference_kernels(make_random_system, monkeypatch):
+    draws = [
+        (n, i, make_random_system(np.random.default_rng([20, n, i]), n // 2, n // 2))
+        for n, count in ((4, 4), (8, 4), (12, 2))
+        for i in range(count)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ConditioningWarning on the larger systems
+        shipped = [_chain(*system, seed=i) for n, i, system in draws]
+        refs = {
+            numerics.spectral_norm: ref_spectral_norm,
+            numerics.solve_lyapunov: ref_solve_lyapunov,
+            numerics.lambda_min_sym: ref_lambda_min_sym,
+        }
+        for module in (numerics, attack, model, observer, roa, sim):
+            for name, value in vars(module).copy().items():
+                if callable(value) and value in refs:
+                    monkeypatch.setattr(module, name, refs[value])
+        reference = [_chain(*system, seed=i) for n, i, system in draws]
+    assert shipped == reference
+    # the fingerprint must come from finished chains, not only from errors
+    finished = [n for (n, _, _), out in zip(draws, shipped) if isinstance(out, list)]
+    assert {4, 8} <= set(finished)
 
 
 def test_hurwitz_and_abscissa():

@@ -53,6 +53,18 @@ def test_weight_matrix_validation(cert_instance):
         roa.lyapunov_pairs(design, obs, W2=-np.eye(4))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["W1", "W2"])
+def test_certify_rejects_nonfinite_weight(cert_instance, name, bad):
+    # an inf entry used to reach solve_lyapunov and escape as LinAlgError
+    cl, design, obs, _ = cert_instance
+    W = np.eye(cl.n)
+    W[0, 0] = bad
+    with pytest.raises(ValidationError, match="finite entries") as excinfo:
+        roa.certify(cl, design, obs, **{name: W})
+    assert excinfo.value.field == name
+
+
 def test_constants_match_direct_formulas(make_random_system, cert_instance):
     # Recompute every constant from scratch with plain numpy calls and
     # compare against roa_constants on the same Lyapunov pairs.
