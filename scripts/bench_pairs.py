@@ -19,7 +19,11 @@ spread, whether the medians differ by more than that spread, and whether
 the change stays within the bound BENCHMARK.json fixes. After a
 workload's pairs, one ``--trace 1`` run per tree on the first seed gives
 the per-layer metrics of both sides, stored under ``per_layer`` as
-``{metric: {"parent": value, "change": value}}``. The file is rewritten
+``{metric: {"parent": value, "change": value}}``. Each untraced run's
+``# nproc ...`` line is kept under ``nproc`` and its per-kind median
+operation times (``box_check_s``, ``cli_roa_s``, ..., unscaled seconds)
+are summarised under ``per_kind_s``, both by side, so the file shows the
+CPU count of every run and which operation moved. The file is rewritten
 after every pair, so an interrupted run keeps what it measured.
 """
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,8 +39,13 @@ from pathlib import Path
 import numpy as np
 
 
+#: a ``#`` line of perfbench/run.py with one kind of operation's median time
+KIND_LINE = re.compile(r"# (\w+_s) median (\S+) s,")
+
+
 def run_once(tree, workload, seed, seconds, trace=0):
-    """One benchmark run in ``tree``: (correct, {metric: value, failed_share})."""
+    """One benchmark run in ``tree``: (correct, {metric: value, failed_share},
+    {"nproc": its ``# nproc`` line, "kinds": {kind: median seconds}})."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -47,7 +57,12 @@ def run_once(tree, workload, seed, seconds, trace=0):
     result = json.loads(lines[-1])
     values = {k: m["value"] for k, m in result["metrics"].items()}
     values["failed_share"] = result["failed"] / result["attempted"]
-    return result["correct"], values
+    out = proc.stdout.splitlines()
+    info = {
+        "nproc": next((l[2:] for l in out if l.startswith("# nproc ")), None),
+        "kinds": {m[1]: float(m[2]) for m in map(KIND_LINE.match, out) if m},
+    }
+    return result["correct"], values, info
 
 
 def summary(runs):
@@ -72,15 +87,22 @@ def compare(parent, change, better, bound):
 
 
 def entry(seeds, done):
-    """One workload's record from the finished pairs ``done`` [(side, correct, values)]."""
+    """One workload's record from the finished pairs ``done`` [(side, correct, values, info)]."""
     sides = {"parent": {}, "change": {}}
-    for side, _, values in done:
+    kinds = {"parent": {}, "change": {}}
+    nproc = {"parent": [], "change": []}
+    for side, _, values, info in done:
         for k, v in values.items():
             sides[side].setdefault(k, []).append(v)
+        for k, v in info["kinds"].items():
+            kinds[side].setdefault(k, []).append(v)
+        nproc[side].append(info["nproc"])
     out = {
         "seeds": seeds[: len(done) // 2],
         "pairs": len(done) // 2,
-        "all_correct": all(ok for _, ok, _ in done),
+        "all_correct": all(ok for _, ok, _, _ in done),
+        "nproc": nproc,
+        "per_kind_s": {side: {k: summary(v) for k, v in kinds[side].items()} for side in kinds},
     }
     for side, metrics in sides.items():
         out[side] = {k: summary(v) for k, v in metrics.items()}
@@ -113,8 +135,8 @@ def main():
         for i, seed in enumerate(seeds):
             order = [("parent", args.parent_tree), ("change", args.change_tree)]
             for side, tree in order if i % 2 == 0 else order[::-1]:
-                ok, values = run_once(tree, workload, seed, bench["run_seconds"])
-                done.append((side, ok, values))
+                ok, values, info = run_once(tree, workload, seed, bench["run_seconds"])
+                done.append((side, ok, values, info))
                 print("%s pair %d %s: correct %s %s" % (workload, i, side, ok, json.dumps(values)),
                       flush=True)
             rec = entry(seeds, done)

@@ -194,6 +194,8 @@ def _write_meta(config, argv):
         "argv": list(argv),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "seed": config.seed,
+        # the Monte Carlo checks run one sample chunk per usable CPU
+        "usable_cpus": roa._usable_cpus(),
     }
     _write_json(os.path.join(config.out, "run_meta.json"), meta)
 

@@ -11,13 +11,18 @@ is certified: every trajectory starting inside satisfies Vdot <= -delta V.
 The bound is conservative and can be infeasible (c2 <= 0) for aggressive
 observer gains or attack scalings; infeasibility is reported as data, never
 raised. Monte Carlo helpers verify the decay inequality inside Omega_c and
-plain convergence from a box of initial conditions.
+plain convergence from a box of initial conditions; they run their samples
+in chunks, one per usable CPU, with bit-identical reports.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +56,8 @@ TOL_DECAY = 1e-9
 DEFAULT_DELTA_FRACTION = 0.1
 #: state norm past which a Monte Carlo sample counts as diverged
 BLOWUP_NORM = 1e6
+#: narrowest sample chunk the Monte Carlo checks hand to a core of its own
+_MIN_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -133,10 +140,11 @@ def roa_constants(P1, P2, W1, W2, B, L, Q, design) -> RoaEstimate:
         2.0 * spectral_norm(P1 @ B @ Hbar) + 2.0 * spectral_norm(Hbar.T @ BL.T @ P2)
     ) / math.sqrt(lmin1 * lmin2)
     nQ = spectral_norm(Q)
+    nP2BL = spectral_norm(P2 @ BL)
     c4 = (
         2.0 * spectral_norm(P1 @ B) * nQ / lmin1**1.5
-        + 4.0 * spectral_norm(P2 @ BL) * nQ / (math.sqrt(lmin1) * lmin2)
-        + 2.0 * spectral_norm(P2 @ BL) * nQ / lmin2**1.5
+        + 4.0 * nP2BL * nQ / (math.sqrt(lmin1) * lmin2)
+        + 2.0 * nP2BL * nQ / lmin2**1.5
     )
     c2 = c1 - c3
     return RoaEstimate(
@@ -208,26 +216,128 @@ def _sample_in_ellipsoid(evecs, sqrt_evals, level, rng):
     return math.sqrt(level) * r * x
 
 
-def _seeded_rows(seed, n_samples, width, draw):
-    """(n_samples, width) rows; row i is ``draw(np.random.default_rng((seed, i)))``.
+def _check_index(value, field):
+    """Raise ValidationError naming ``field`` unless value is a nonnegative integer."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise ValidationError("must be a nonnegative integer, got %r" % (value,), field=field)
+
+
+def _seeded_rows(seed, n_samples, width, draw, start=0):
+    """(n_samples, width) rows; row j is ``draw(np.random.default_rng((seed, start + j)))``.
 
     One generator per sample, derived from the master seed by index, so each
-    drawn row is independent of how many are drawn and of scheduling. The
-    states integrated from a row are not, bit for bit: integrate_batch's
-    arithmetic depends on the batch width within rounding.
+    drawn row is independent of how many are drawn, of the chunk it is drawn
+    in and of scheduling. So are the states integrated from it, as long as
+    the chunks are cut at multiples of 8 samples (see :func:`_chunk_bounds`).
     """
-    try:
-        count = operator.index(n_samples)
-    except TypeError:
-        count = -1
-    if count < 0:
-        raise ValidationError(
-            "must be a nonnegative integer, got %r" % (n_samples,), field="n_samples"
-        )
-    rows = np.empty((count, width))
-    for i in range(count):
-        rows[i] = draw(np.random.default_rng((seed, i)))
+    rows = np.empty((n_samples, width))
+    for j in range(n_samples):
+        rows[j] = draw(np.random.default_rng((seed, start + j)))
     return rows
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_bounds(n_samples):
+    """Bounds ``[0, b_1, ..., n_samples]`` of the sample chunks of a Monte Carlo check.
+
+    One chunk per usable CPU, each at least ``_MIN_CHUNK`` samples wide, so
+    fewer when the samples are few. Every inner bound is a multiple of 8:
+    BLAS gives a column of a chunk that starts at a multiple of 8 the kernel
+    it has in the full-width batch, so every chunk reproduces the full-width
+    bits (measured with OpenBLAS 0.3.31; cuts at 4 or 250 samples differ
+    in the last ulps). Without ``os.fork``, or while other threads run, a
+    fork is unsafe or impossible and all samples form one chunk.
+    """
+    k = max(1, min(_usable_cpus(), n_samples // _MIN_CHUNK))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        k = 1
+    return [8 * (i * n_samples // (8 * k)) for i in range(k)] + [n_samples]
+
+
+def _run_chunk_child(run, lo, hi, fd, inherited):
+    """A forked child's whole life: ``run(lo, hi)``, its arrays or its exception
+    pickled to ``fd``, then ``os._exit``; it never returns to the caller."""
+    code = 1
+    try:
+        for fh in inherited:
+            fh.close()
+        try:
+            data = pickle.dumps((True, run(lo, hi)))
+        except BaseException as exc:  # handed to the parent, which re-raises it
+            data = pickle.dumps((False, exc))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_chunks(run, n_samples, name):
+    """The per-sample arrays of ``run(lo, hi)`` over all samples, chunk by chunk.
+
+    ``run`` returns a tuple of arrays with one entry per sample of [lo, hi).
+    This process runs the first chunk of :func:`_chunk_bounds`; each other
+    chunk runs in a forked child that sends its arrays back pickled over a
+    pipe. The chunks are concatenated in order. A child's exception is
+    raised here, and a child that ends without a result raises RuntimeError
+    naming its chunk. Every child is reaped before this returns or raises;
+    on an error the ones still running are killed first.
+    """
+    import logging  # here, so that importing obsforge does not load it
+
+    bounds = _chunk_bounds(n_samples)
+    logging.getLogger(__name__).debug("%s: sample chunks %s", name, bounds)
+    if len(bounds) == 2:
+        return run(0, n_samples)
+    children = {}  # pid -> (read end, (lo, hi)), for every child not reaped yet
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _run_chunk_child(run, lo, hi, w, [fh for fh, _ in children.values()])
+            os.close(w)
+            children[pid] = (os.fdopen(r, "rb"), (lo, hi))
+        parts = [run(bounds[0], bounds[1])]
+        for pid in list(children):
+            fh, (lo, hi) = children[pid]
+            data = fh.read()
+            fh.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code or not data:
+                raise RuntimeError(
+                    "%s: sample chunk [%d, %d) ended without a result (%s)"
+                    % (name, lo, hi, "signal %d" % -code if code < 0 else "exit status %d" % code)
+                )
+            ok, value = pickle.loads(data)  # written by this process's own child
+            if not ok:
+                raise value
+            parts.append(value)
+    finally:
+        for pid, (fh, _) in children.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return tuple(np.concatenate(columns) for columns in zip(*parts))
 
 
 def _per_sample(**columns):
@@ -291,6 +401,8 @@ def verify_decay(
             "sampling an infinite level set is undefined (c4 = 0 case)",
             field="estimate",
         )
+    _check_index(n_samples, "n_samples")
+    _check_index(seed, "seed")
     n = closed_loop.n
     P = np.zeros((2 * n, 2 * n))
     P[:n, :n] = estimate.P1
@@ -298,45 +410,51 @@ def verify_decay(
 
     evals, evecs = np.linalg.eigh(P)
     sqrt_evals = np.sqrt(evals)
-    samples = _seeded_rows(
-        seed, n_samples, 2 * n,
-        lambda rng: _sample_in_ellipsoid(evecs, sqrt_evals, estimate.level, rng),
-    )
-    Z0 = samples[:, :n]
-    E0 = samples[:, n:]
-
-    # per sample: the running largest margin (Vdot + delta V)/V over the
-    # finite V > 0 records (-inf before any), whether there was such a
-    # record, whether every finite V stayed in the set, and V at t = 0
     field = coupled_field(closed_loop, design, obs)
     bound = estimate.level * (1.0 + 1e-9)
-    margin = np.full(n_samples, -math.inf)
-    any_pos = np.zeros(n_samples, dtype=bool)
-    inside = np.ones(n_samples, dtype=bool)
-    V0 = np.empty(n_samples)
 
-    def fold(rec, S):
-        # analytic Vdot = 2 x'P xdot with x = (z, e) at this record
-        x = S.copy()
-        xdot = field(x)
-        x[n:] -= x[:n]
-        xdot[n:] -= xdot[:n]
-        Px = P @ x
-        V = np.einsum("ir,ir->r", Px, x)
-        Vdot = 2.0 * np.einsum("ir,ir->r", Px, xdot)
-        finite = np.isfinite(V)
-        pos = finite & (V > 0)
-        ratios = np.divide(Vdot + estimate.delta * V, V, out=np.full(V.shape, -math.inf), where=pos)
-        np.maximum(margin, ratios, out=margin)  # NaN sticks, as under max
-        np.logical_or(any_pos, pos, out=any_pos)
-        np.logical_and(inside, ~finite | (V <= bound), out=inside)
-        if rec == 0:
-            V0[:] = V
+    def run(lo, hi):
+        samples = _seeded_rows(
+            seed, hi - lo, 2 * n,
+            lambda rng: _sample_in_ellipsoid(evecs, sqrt_evals, estimate.level, rng),
+            start=lo,
+        )
+        Z0 = samples[:, :n]
+        E0 = samples[:, n:]
 
-    _, _, _, blowup = integrate_batch(
-        closed_loop, design, obs, Z0, Z0 + E0, dt=dt, T=horizon, stride=stride,
-        norm_limit=BLOWUP_NORM, fold=fold,
-    )
+        # per sample: the running largest margin (Vdot + delta V)/V over the
+        # finite V > 0 records (-inf before any), whether there was such a
+        # record, whether every finite V stayed in the set, and V at t = 0
+        margin = np.full(hi - lo, -math.inf)
+        any_pos = np.zeros(hi - lo, dtype=bool)
+        inside = np.ones(hi - lo, dtype=bool)
+        V0 = np.empty(hi - lo)
+
+        def fold(rec, S):
+            # analytic Vdot = 2 x'P xdot with x = (z, e) at this record
+            x = S.copy()
+            xdot = field(x)
+            x[n:] -= x[:n]
+            xdot[n:] -= xdot[:n]
+            Px = P @ x
+            V = np.einsum("ir,ir->r", Px, x)
+            Vdot = 2.0 * np.einsum("ir,ir->r", Px, xdot)
+            finite = np.isfinite(V)
+            pos = finite & (V > 0)
+            ratios = np.divide(Vdot + estimate.delta * V, V, out=np.full(V.shape, -math.inf), where=pos)
+            np.maximum(margin, ratios, out=margin)  # NaN sticks, as under max
+            np.logical_or(any_pos, pos, out=any_pos)
+            np.logical_and(inside, ~finite | (V <= bound), out=inside)
+            if rec == 0:
+                V0[:] = V
+
+        _, _, _, blowup = integrate_batch(
+            closed_loop, design, obs, Z0, Z0 + E0, dt=dt, T=horizon, stride=stride,
+            norm_limit=BLOWUP_NORM, fold=fold,
+        )
+        return margin, any_pos, inside, V0, blowup
+
+    margin, any_pos, inside, V0, blowup = _run_chunks(run, n_samples, "verify_decay")
 
     # the margin should stay <= tol_decay, and is 0.0 without any V > 0 record
     diverged = np.isfinite(blowup)
@@ -401,29 +519,38 @@ def monte_carlo_box_check(
         raise ValidationError("must be nonnegative", field="box_halfwidth")
     if not math.isfinite(2.0 * w):  # the width of the box numpy draws from
         raise ValidationError("box width must be finite, got %r" % (w,), field="box_halfwidth")
-    states = _seeded_rows(seed, n_samples, 2 * n, lambda rng: rng.uniform(-w, w, 2 * n))
-    Z0, Zh0 = states[:, :n], states[:, n:]
+    _check_index(n_samples, "n_samples")
+    _check_index(seed, "seed")
 
-    # per sample: the norm of (z, e) at t = 0, its running peak over the
-    # records (NaN ones never win) and its value at the last record
-    initial = np.empty(n_samples)
-    peak = np.full(n_samples, math.nan)
-    final = np.empty(n_samples)
+    def run(lo, hi):
+        states = _seeded_rows(
+            seed, hi - lo, 2 * n, lambda rng: rng.uniform(-w, w, 2 * n), start=lo
+        )
+        Z0, Zh0 = states[:, :n], states[:, n:]
 
-    def fold(rec, S):
-        # (samples, 2n) rows, as a record holds them, so the sums round alike
-        rows = S.T.copy()
-        Z, E = rows[:, :n], rows[:, n:] - rows[:, :n]
-        norm = np.sqrt(np.einsum("si,si->s", Z, Z) + np.einsum("si,si->s", E, E))
-        if rec == 0:
-            initial[:] = norm
-        np.fmax(peak, norm, out=peak)
-        final[:] = norm
+        # per sample: the norm of (z, e) at t = 0, its running peak over the
+        # records (NaN ones never win) and its value at the last record
+        initial = np.empty(hi - lo)
+        peak = np.full(hi - lo, math.nan)
+        final = np.empty(hi - lo)
 
-    _, _, _, blowup = integrate_batch(
-        closed_loop, design, obs, Z0, Zh0, dt=dt, T=horizon, stride=stride,
-        norm_limit=BLOWUP_NORM, fold=fold,
-    )
+        def fold(rec, S):
+            # (samples, 2n) rows, as a record holds them, so the sums round alike
+            rows = S.T.copy()
+            Z, E = rows[:, :n], rows[:, n:] - rows[:, :n]
+            norm = np.sqrt(np.einsum("si,si->s", Z, Z) + np.einsum("si,si->s", E, E))
+            if rec == 0:
+                initial[:] = norm
+            np.fmax(peak, norm, out=peak)
+            final[:] = norm
+
+        _, _, _, blowup = integrate_batch(
+            closed_loop, design, obs, Z0, Zh0, dt=dt, T=horizon, stride=stride,
+            norm_limit=BLOWUP_NORM, fold=fold,
+        )
+        return initial, peak, final, blowup
+
+    initial, peak, final, blowup = _run_chunks(run, n_samples, "monte_carlo_box_check")
 
     # a diverged sample's last record is NaN, so its final norm reads inf,
     # and so does its peak if no record is finite

@@ -458,6 +458,21 @@ def test_invalid_log_level_is_input_error(tmp_path, monkeypatch, capsys):
     assert "OBS_FORGE_LOG" in capsys.readouterr().err
 
 
+def test_debug_log_names_sample_chunks(tmp_path, monkeypatch):
+    # the chunk bounds and the CPU count go to the log and run_meta.json,
+    # never into the deterministic reports
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert cli.main(["roa", "--out", str(quiet), "--horizon", "0.5"]) == 3
+    monkeypatch.setenv("OBS_FORGE_LOG", "debug")
+    proc = _run_clean(["-m", "obsforge.cli", "roa", "--out", str(loud), "--horizon", "0.5"])
+    assert proc.returncode == 3, proc.stderr
+    assert "DEBUG obsforge.roa: monte_carlo_box_check: sample chunks [0, " in proc.stderr
+    assert (loud / "roa.json").read_bytes() == (quiet / "roa.json").read_bytes()
+    cpus = roa._usable_cpus()
+    assert _read_json(loud / "run_meta.json")["usable_cpus"] == cpus
+    assert _read_json(quiet / "run_meta.json")["usable_cpus"] == cpus
+
+
 def test_subcommand_flag_sets(capsys):
     expected = {
         "validate": {"--help", "--config", "--seed", "--out"},

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import signal
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -280,6 +283,18 @@ def test_monte_carlo_checks_reject_bad_sample_counts(cert_instance, n_samples):
     assert box.value.field == decay.value.field == "n_samples"
 
 
+@pytest.mark.parametrize("n_samples", [0, 5])
+@pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
+def test_monte_carlo_checks_reject_bad_seeds(cert_instance, seed, n_samples):
+    # refused before any sample is drawn, so also when there are none to draw
+    cl, design, obs, est = cert_instance
+    with pytest.raises(ValidationError) as box:
+        roa.monte_carlo_box_check(cl, design, obs, n_samples=n_samples, seed=seed)
+    with pytest.raises(ValidationError) as decay:
+        roa.verify_decay(cl, design, obs, est, n_samples=n_samples, seed=seed)
+    assert box.value.field == decay.value.field == "seed"
+
+
 def test_box_check_overflowing_start_is_silent(cert_instance):
     # the squares of 1e300 starts overflow from the very first factor rows;
     # that is divergence data, recorded without any RuntimeWarning
@@ -532,6 +547,111 @@ def test_verify_decay_matches_record_reduction(cert_instance, scale, knobs, dive
     report = roa.verify_decay(cl, design, obs, est, **knobs)
     assert report == _decay_report_by_record(cl, design, obs, est, **knobs)
     assert (report.n_diverged > 0) == diverging
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_chunked_checks_match_full_width(monkeypatch, ref_system, ref_design, ref_observer,
+                                         cert_instance, cpus):
+    """Cut at multiples of 8 samples, with one chunk per CPU and each of at
+    least 128 samples, the checks give the full-width reports exactly."""
+    monkeypatch.setattr(roa, "_usable_cpus", lambda: cpus)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    _, _, cl = ref_system
+    for knobs, chunks in (
+        (dict(seed=0), min(cpus, 3)),
+        (dict(box_halfwidth=3.0, n_samples=520, horizon=1.0, seed=1), cpus),  # some diverge
+        (dict(n_samples=255, horizon=0.5), 1),
+    ):
+        del forks[:]
+        report = roa.monte_carlo_box_check(cl, ref_design, ref_observer, **knobs)
+        _assert_no_child_left()
+        assert len(forks) == chunks - 1
+        assert report == _box_report_by_record(cl, ref_design, ref_observer, **knobs)
+    cl, design, obs, est = cert_instance
+    for scale, knobs, chunks in (
+        (1.0, dict(seed=0), 1),  # 200 samples stay in one chunk
+        (1.0, dict(n_samples=520, horizon=0.5, seed=1), cpus),
+        (1e6, dict(n_samples=300, horizon=0.5, seed=3), min(cpus, 2)),  # most diverge
+    ):
+        del forks[:]
+        scaled = replace(est, level=est.level * scale)
+        report = roa.verify_decay(cl, design, obs, scaled, **knobs)
+        _assert_no_child_left()
+        assert len(forks) == chunks - 1
+        assert report == _decay_report_by_record(cl, design, obs, scaled, **knobs)
+
+
+def test_chunk_bounds_are_aligned_and_wide(monkeypatch):
+    for cpus in range(1, 9):
+        monkeypatch.setattr(roa, "_usable_cpus", lambda: cpus)
+        for n_samples in (0, 1, 127, 128, 255, 256, 270, 500, 1000, 1031, 4099):
+            bounds = roa._chunk_bounds(n_samples)
+            widths = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == n_samples
+            assert len(widths) == max(1, min(cpus, n_samples // 128))
+            assert all(b % 8 == 0 for b in bounds[:-1])
+            assert len(widths) == 1 or widths.min() >= 128
+
+
+@pytest.mark.parametrize("kill", [False, True])
+def test_failed_chunk_reaches_the_caller(monkeypatch, ref_system, ref_design, ref_observer, kill):
+    # chunk [248, 500) runs in a child; there it raises, or the child dies
+    monkeypatch.setattr(roa, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+    integrate_batch = roa.integrate_batch
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            if kill:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise LookupError("raised in the child")
+        return integrate_batch(*args, **kwargs)
+
+    monkeypatch.setattr(roa, "integrate_batch", failing)
+    _, _, cl = ref_system
+    if kill:
+        error, match = RuntimeError, r"\[248, 500\).*signal %d" % signal.SIGKILL
+    else:
+        error, match = LookupError, "raised in the child"
+    with pytest.raises(error, match=match):
+        roa.monte_carlo_box_check(cl, ref_design, ref_observer, horizon=0.1)
+    _assert_no_child_left()
+
+
+def test_chunks_stay_in_process_without_a_safe_fork(monkeypatch, ref_system, ref_design,
+                                                    ref_observer):
+    monkeypatch.setattr(roa, "_usable_cpus", lambda: 2)
+
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+    _, _, cl = ref_system
+    knobs = dict(n_samples=256, horizon=0.5)
+    expected = _box_report_by_record(cl, ref_design, ref_observer, **knobs)
+    # one chunk: too few samples for two
+    roa.monte_carlo_box_check(cl, ref_design, ref_observer, n_samples=255, horizon=0.1)
+    # another thread is alive, so a fork could copy a lock it holds
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        report = roa.monte_carlo_box_check(cl, ref_design, ref_observer, **knobs)
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert report == expected
+    # no fork on this platform
+    monkeypatch.delattr(os, "fork")
+    assert roa.monte_carlo_box_check(cl, ref_design, ref_observer, **knobs) == expected
 
 
 def test_monte_carlo_checks_keep_no_state_record(cert_instance):
