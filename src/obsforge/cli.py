@@ -229,23 +229,7 @@ def _design_pipeline(config, cl):
     return design, obs, est
 
 
-def _verification_flags(cl, design, obs, est):
-    from .numerics import is_hurwitz
-
-    FLH = design.Fbar + obs.L @ design.Hbar
-    return {
-        "loop_hurwitz": bool(is_hurwitz(cl.A)),
-        "attacked_loop_hurwitz": bool(is_hurwitz(design.Fbar)),
-        "pair_observable": bool(
-            attack.is_observable(design.Fbar, design.Hbar)
-        ),
-        "error_matrix_hurwitz": bool(is_hurwitz(FLH)),
-        "placement_ok": bool(obs.placement_error <= observer.PLACEMENT_TOL),
-        "certificate_feasible": bool(est.feasible),
-    }
-
-
-def _bundle_payload(config, plant, controller, cl, design, obs, est):
+def _bundle_payload(config, plant, controller, design, obs, est):
     return {
         "system": {"plant": plant, "controller": controller},
         "config": {key: getattr(config, key.lower()) for key in _STORED_KEYS},
@@ -275,7 +259,6 @@ def _bundle_payload(config, plant, controller, cl, design, obs, est):
             "placement_error": obs.placement_error,
         },
         "roa": est,
-        "verification": _verification_flags(cl, design, obs, est),
     }
 
 
@@ -337,7 +320,7 @@ _INPUT_ROOTS = {"pi_star": "bundle.attack", "desired_poles": "bundle.observer"}
 
 
 def load_bundle(path):
-    """Replay a bundle JSON through the synthesize chain: (cl, design, obs, est).
+    """Replay a bundle JSON through the synthesize chain, returning what _design_for_run does.
 
     The bundle's inputs (its system, the knobs under ``config``,
     ``attack.pi_star`` and ``observer.desired_poles``) go through RunConfig
@@ -352,9 +335,9 @@ def load_bundle(path):
     system = _from_bundle(payload, "system")
     try:
         plant, controller = model.system_from_dict(system)
+        cl = model.assemble(plant, controller)
     except ValidationError as exc:
         raise exc.under("bundle.system") from None
-    cl = model.assemble(plant, controller)
     _check_assumptions(plant, controller, cl, "bundle.system")
     keys = {k.lower(): k for k in _STORED_KEYS}
     values = {f: _from_bundle(payload, "config." + k, float) for f, k in keys.items()}
@@ -372,9 +355,9 @@ def load_bundle(path):
         design, obs, est = _design_pipeline(knobs, cl)
     except ValidationError as exc:
         raise exc.under(_INPUT_ROOTS.get(exc.field, "bundle")) from None
-    fresh = _bundle_payload(knobs, plant, controller, cl, design, obs, est)
+    fresh = _bundle_payload(knobs, plant, controller, design, obs, est)
     _match(payload, jsonable(fresh), "bundle")
-    return cl, design, obs, est
+    return plant, controller, cl, design, obs, est
 
 
 def _assumption_rows(report):
@@ -412,10 +395,8 @@ def cmd_validate(config):
 
 
 def cmd_synthesize(config):
-    plant, controller, cl = _load_system(config)
-    _check_assumptions(plant, controller, cl, "system")
-    design, obs, est = _design_pipeline(config, cl)
-    payload = _bundle_payload(config, plant, controller, cl, design, obs, est)
+    plant, controller, _, design, obs, est = _design_for_run(config)
+    payload = _bundle_payload(config, plant, controller, design, obs, est)
     _write_json(os.path.join(config.out, "bundle.json"), payload)
     print("gamma_max = %.6g, gamma = %.6g" % (design.gamma_max, design.gamma))
     print("pi = %s" % np.array2string(design.pi, precision=6))
@@ -463,16 +444,17 @@ def _default_initial(config, cl):
 
 
 def _design_for_run(config):
-    """Either reuse a stored bundle or run the synthesis chain."""
+    """(plant, controller, cl, design, obs, est): a stored bundle replayed, or
+    the synthesis chain run on the configured system."""
     if config.bundle:
         return load_bundle(config.bundle)
     plant, controller, cl = _load_system(config)
     _check_assumptions(plant, controller, cl, "system")
-    return (cl,) + _design_pipeline(config, cl)
+    return (plant, controller, cl) + _design_pipeline(config, cl)
 
 
 def cmd_simulate(config):
-    cl, design, obs, est = _design_for_run(config)
+    _, _, cl, design, obs, est = _design_for_run(config)
     z0, zhat0 = _default_initial(config, cl)
     traj = sim.integrate(cl, design, obs, z0, zhat0, dt=config.dt, T=config.horizon)
     try:
@@ -505,7 +487,7 @@ def cmd_simulate(config):
 
 
 def cmd_roa(config):
-    cl, design, obs, est = _design_for_run(config)
+    _, _, cl, design, obs, est = _design_for_run(config)
     box = roa.monte_carlo_box_check(
         cl, design, obs, horizon=config.horizon, seed=config.seed, dt=config.dt
     )

@@ -14,6 +14,7 @@ controller spectra are disjoint and the coupling block B_p C_c is nonzero;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,12 @@ __all__ = [
 
 TOL_GAP = 1e-9
 TOL_SYM = 1e-12
+
+
+def _asymmetry_bound(M):
+    """TOL_SYM relative to the largest entry of M (absolute below 1), as in
+    ``numerics.lambda_min_sym``."""
+    return TOL_SYM * max(1.0, np.abs(M).max())
 
 
 def _as_matrix(value, shape, field):
@@ -65,12 +72,12 @@ class PlantModel:
         object.__setattr__(self, "A_p", _as_matrix(A_p, (n_p, n_p), "A_p"))
         object.__setattr__(self, "B_p", _as_matrix(B_p, (n_p, 1), "B_p"))
         Q_p = _as_matrix(Q_p, (n_p, n_p), "Q_p")
-        asym = np.abs(Q_p - Q_p.T).max() if Q_p.size else 0.0
-        if asym > TOL_SYM:
+        asym, bound = np.abs(Q_p - Q_p.T).max(), _asymmetry_bound(Q_p)
+        if asym > bound:
             raise ValidationError(
                 "must be symmetric (asymmetry %.3e exceeds %.1e); quadratic "
                 "forms only see the symmetric part, so this is a user error"
-                % (asym, TOL_SYM),
+                % (asym, bound),
                 field="Q_p",
             )
         # harmless float dust is folded into the symmetric part
@@ -153,8 +160,15 @@ def assemble(plant: PlantModel, controller: ControllerModel) -> ClosedLoop:
     """Stack plant and controller into the closed-loop matrices.
 
     Only copies and the two products B_p C_c, B_p D_c are computed, so the
-    blocks of the result reproduce the inputs exactly.
+    blocks of the result reproduce the inputs exactly. A product that
+    overflows raises ValidationError naming it.
     """
+    # each entry of either product is one multiplication, so the product of
+    # the largest factors overflows exactly when some entry does
+    b = float(np.abs(plant.B_p).max())
+    for name, c in (("B_p C_c", np.abs(controller.C_c).max()), ("B_p D_c", abs(controller.D_c))):
+        if not math.isfinite(b * float(c)):
+            raise ValidationError("product overflows to a non-finite entry", field=name)
     n_p, n_c = plant.n_p, controller.n_c
     n = n_p + n_c
     A = np.zeros((n, n))
@@ -207,7 +221,7 @@ def validate_assumptions(plant, controller, closed_loop) -> AssumptionReport:
     # PlantModel construction already rejects asymmetric Q_p; recheck the
     # assembled block so a hand-built ClosedLoop is caught too
     Qp = closed_loop.Q_p
-    qp_sym = bool(np.abs(Qp - Qp.T).max() <= TOL_SYM)
+    qp_sym = bool(np.abs(Qp - Qp.T).max() <= _asymmetry_bound(Qp))
     return AssumptionReport(
         a_hurwitz=bool(abscissa < -TOL_HURWITZ),
         spectral_abscissa=abscissa,

@@ -187,7 +187,8 @@ def place_poles_dual(F, Hrow, desired):
     Raises
     ------
     NumericError
-        If the pair is unobservable (the stacked rows are singular).
+        If the pair is unobservable (the stacked rows are singular), or
+        the solved gain is not finite (e.g. a subnormal Hrow).
     ValueError
         If ``desired`` has the wrong size or is not closed under conjugation.
     """
@@ -218,7 +219,12 @@ def place_poles_dual(F, Hrow, desired):
             "(F, Hrow) is unobservable: the pencil rows at the targets are "
             "singular (singular values %s)" % np.array2string(sv, precision=3)
         )
-    return np.linalg.solve(V, s).real.reshape(n, 1)
+    Lcol = np.linalg.solve(V, s).real.reshape(n, 1)
+    if not np.all(np.isfinite(Lcol)):
+        raise NumericError(
+            "the placement gain is not finite (largest |Hrow| entry %.3e)" % np.abs(Hrow).max()
+        )
+    return Lcol
 
 
 def spectral_norm(M):

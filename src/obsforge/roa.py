@@ -37,7 +37,7 @@ from .numerics import (
 )
 from .observer import coupled_field
 from .report import Reported
-from .sim import integrate_batch
+from .sim import _check_steps, integrate_batch
 
 __all__ = [
     "RoaEstimate",
@@ -403,6 +403,7 @@ def verify_decay(
         )
     _check_index(n_samples, "n_samples")
     _check_index(seed, "seed")
+    _check_steps(dt, horizon, stride, "horizon")  # before any chunk runs or forks
     n = closed_loop.n
     P = np.zeros((2 * n, 2 * n))
     P[:n, :n] = estimate.P1
@@ -521,6 +522,7 @@ def monte_carlo_box_check(
         raise ValidationError("box width must be finite, got %r" % (w,), field="box_halfwidth")
     _check_index(n_samples, "n_samples")
     _check_index(seed, "seed")
+    _check_steps(dt, horizon, stride, "horizon")  # before any chunk runs or forks
 
     def run(lo, hi):
         states = _seeded_rows(

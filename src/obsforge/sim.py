@@ -231,14 +231,15 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold=None):
     return times, out, blowup
 
 
-def _check_steps(dt, T, stride):
-    """The number of steps of size dt in [0, T]; bad dt, T or stride raise ValidationError."""
+def _check_steps(dt, T, stride, T_field="T"):
+    """The number of steps of size dt in [0, T]; bad dt, T or stride raise
+    ValidationError, naming T as ``T_field``."""
     if not 0 < dt < math.inf:
         raise ValidationError("must be positive and finite", field="dt")
     if not math.isfinite(T / dt):
-        raise ValidationError("horizon must span a finite number of steps", field="T")
+        raise ValidationError("horizon must span a finite number of steps", field=T_field)
     if T < dt:
-        raise ValidationError("horizon must be at least one step", field="T")
+        raise ValidationError("horizon must be at least one step", field=T_field)
     try:
         positive = operator.index(stride) >= 1
     except TypeError:

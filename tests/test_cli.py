@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import obsforge
-from obsforge import cli, refcase, roa
+from obsforge import cli, observer, refcase, roa
 from obsforge.errors import AssumptionError
 
 # obsforge.__all__: the submodules, the layers' public names, the version
@@ -222,9 +222,10 @@ def test_synthesize_reference_reports_infeasible(tmp_path, capsys):
     code = cli.main(["synthesize", "--out", str(out)])
     assert code == 3
     bundle = _read_json(out / "bundle.json")
+    # the chain's inputs and results, nothing re-derived from them
+    assert sorted(bundle) == ["attack", "config", "observer", "roa", "system"]
     assert bundle["roa"]["feasible"] is False
-    assert bundle["verification"]["certificate_feasible"] is False
-    assert bundle["verification"]["placement_ok"] is True
+    assert bundle["observer"]["placement_error"] <= observer.PLACEMENT_TOL
     assert len(bundle["observer"]["L"]) == 4
     assert len(bundle["attack"]["forbidden_subspaces"]) == 2
     # the reference spectra are real, yet every pole is stored as {re, im}
@@ -558,6 +559,13 @@ def test_malformed_bundle_is_input_error(tmp_path, capsys):
     nan_seed["config"]["seed"] = "nan"
     inf_seed = copy.deepcopy(bundle)
     inf_seed["config"]["seed"] = float("inf")
+    # finite entries whose product in the loop matrix overflows
+    overflow = copy.deepcopy(bundle)
+    overflow["system"]["plant"]["B_p"] = [[1e300]]
+    overflow["system"]["controller"]["C_c"] = [[1e300]]
+    # written with the former, re-derived verification section
+    old_format = dict(bundle, verification={"certificate_feasible": True})
+    keys = "['attack', 'config', 'observer', 'roa', 'system']"
     truncated = tmp_path / "truncated.json"
     truncated.write_text('{"system": ', encoding="utf-8")
     binary = tmp_path / "binary.json"
@@ -581,6 +589,9 @@ def test_malformed_bundle_is_input_error(tmp_path, capsys):
         (_write_config(tmp_path, lone_complex_pole, "lone.json"), "bundle.observer.desired_poles:"),
         (_write_config(tmp_path, nan_seed, "nan_seed.json"), "bundle.config.seed:"),
         (_write_config(tmp_path, inf_seed, "inf_seed.json"), "bundle.config.seed:"),
+        (_write_config(tmp_path, overflow, "overflow.json"), "bundle.system.B_p C_c: product overflows"),
+        (_write_config(tmp_path, old_format, "old_format.json"),
+         "bundle: expected keys %s, got %s" % (keys, keys[:-1] + ", 'verification']")),
         (str(truncated), "%s: malformed JSON at line 1 column 12" % truncated),
         (str(binary), "%s: not UTF-8 text" % binary),
     ):
@@ -615,6 +626,32 @@ def test_edited_bundle_output_is_input_error(tmp_path, capsys, reference_bundle,
     bundle[section][key] = OUTPUT_EDITS[field](bundle[section][key])
     path = _write_config(tmp_path, bundle, "edited.json")
     _assert_bundle_refused(path, "bundle." + field, str(tmp_path / "o"), capsys)
+
+
+@pytest.mark.parametrize(
+    "B_p, C_c, D_c, product",
+    [
+        ([[1e300], [1.0]], [[1e300, 0.0]], 1.0, "B_p C_c"),
+        ([[1e300], [1.0]], [[1.0, 0.0]], 1e300, "B_p D_c"),
+    ],
+)
+def test_config_with_overflowing_product_is_input_error(tmp_path, B_p, C_c, D_c, product):
+    # finite entries whose product in the loop matrices overflows
+    cfg = _write_config(tmp_path, {
+        "plant": {"A_p": [[-1.0, 0.0], [0.0, -2.0]], "B_p": B_p, "Q_p": [[1.0, 0.0], [0.0, 1.0]]},
+        "controller": {"A_c": [[-3.0, 0.0], [0.0, -4.0]], "B_c": [[1.0], [1.0]], "C_c": C_c, "D_c": D_c},
+    })
+    for command in ("validate", "synthesize"):
+        proc = _run_clean(["-m", "obsforge.cli", command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert proc.returncode == cli.EXIT_INPUT, proc.stderr
+        assert proc.stderr == "input error: %s: product overflows to a non-finite entry\n" % product
+
+
+def test_subnormal_attack_row_is_design_failure(tmp_path, capsys):
+    # the gate passes the pair, but its placement gain is NaN in double precision
+    argv = ["synthesize", "--gamma-fraction=1e-320", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_ASSUMPTION
+    assert capsys.readouterr().err.startswith("design failure: the placement gain is not finite")
 
 
 def test_bundle_breaking_assumptions_is_assumption_failure(tmp_path, capsys, reference_bundle):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,46 @@ def test_qp_roundoff_dust_symmetrized():
     Q = np.array([[1.0, 1e-14], [0.0, 1.0]])
     plant = model.PlantModel(A_p=-np.eye(2), B_p=np.ones((2, 1)), Q_p=Q)
     assert np.array_equal(plant.Q_p, plant.Q_p.T)
+
+
+def test_qp_symmetry_tolerance_scales_with_entries():
+    # an asymmetry of 9.3e-10 (4 ulps) between entries of 2e6 is float dust,
+    # as lambda_min_sym reads it: the tolerance scales with the largest entry
+    Q = np.array([[1e6, 2000000.000000001], [2e6, 1e6]])
+    assert Q[0, 1] != Q[1, 0]
+    plant = model.PlantModel(A_p=-np.eye(2), B_p=np.ones((2, 1)), Q_p=Q)
+    assert np.array_equal(plant.Q_p, plant.Q_p.T)
+    controller = model.ControllerModel(
+        A_c=-3.0 * np.eye(2), B_c=np.ones((2, 1)), C_c=np.array([[1.0, 0.5]]), D_c=1.0
+    )
+    cl = model.assemble(plant, controller)
+    assert model.validate_assumptions(plant, controller, cl).qp_symmetric
+    # a hand-built loop keeps the asymmetric block, which is judged by the same rule
+    Qraw = np.zeros((4, 4))
+    Qraw[:2, :2] = Q
+    raw = model.ClosedLoop(A=cl.A, B=cl.B, Q=Qraw, n_p=2, n_c=2)
+    assert model.validate_assumptions(plant, controller, raw).qp_symmetric
+    Qraw[0, 1] += 1e-5
+    assert not model.validate_assumptions(plant, controller, raw).qp_symmetric
+
+
+@pytest.mark.parametrize(
+    "B_p, C_c, D_c, product",
+    [
+        ([[1e300], [1.0]], [[1e300, 0.0]], 1.0, "B_p C_c"),
+        ([[1e300], [1.0]], [[1.0, 0.0]], 1e300, "B_p D_c"),
+    ],
+)
+def test_assemble_rejects_overflowing_product(B_p, C_c, D_c, product):
+    plant = model.PlantModel(A_p=-np.eye(2), B_p=np.array(B_p), Q_p=np.eye(2))
+    controller = model.ControllerModel(
+        A_c=-3.0 * np.eye(2), B_c=np.ones((2, 1)), C_c=np.array(C_c), D_c=D_c
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as info:
+            model.assemble(plant, controller)
+    assert info.value.field == product
 
 
 def test_shape_validation_messages():

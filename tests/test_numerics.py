@@ -200,6 +200,16 @@ def test_place_poles_dual_unobservable_pair():
         place_poles_dual(F, np.zeros((1, 2)), np.array([-3.0, -4.0]))
 
 
+def test_place_poles_dual_rejects_a_non_finite_gain(ref_system):
+    # a subnormal attack row passes the observability gate (margin 1.2e-3),
+    # but the gain that places its pair is NaN in double precision
+    _, _, cl = ref_system
+    design = attack.build_design(cl, gamma_fraction=1e-320)
+    assert 0 < np.abs(design.Hbar).max() < np.finfo(float).tiny
+    with pytest.raises(NumericError, match="not finite"):
+        place_poles_dual(design.Fbar, design.Hbar, np.array([-9.5, -10.5, -11.5, -12.5]))
+
+
 def test_spectral_norm_column_is_euclidean():
     v = np.array([[3.0], [4.0]])
     assert spectral_norm(v) == pytest.approx(5.0)

@@ -654,6 +654,33 @@ def test_chunks_stay_in_process_without_a_safe_fork(monkeypatch, ref_system, ref
     assert roa.monte_carlo_box_check(cl, ref_design, ref_observer, **knobs) == expected
 
 
+@pytest.mark.parametrize(
+    "knobs, field",
+    [
+        (dict(horizon=0.0), "horizon"),
+        (dict(horizon=math.inf), "horizon"),
+        (dict(dt=0.0), "dt"),
+        (dict(stride=0), "stride"),
+    ],
+)
+def test_step_knobs_checked_before_any_chunk(monkeypatch, cert_instance, knobs, field):
+    # 500 samples on 2 CPUs would fork a child for the second chunk
+    monkeypatch.setattr(roa, "_usable_cpus", lambda: 2)
+
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+    cl, design, obs, est = cert_instance
+    for check in (
+        lambda: roa.monte_carlo_box_check(cl, design, obs, n_samples=500, **knobs),
+        lambda: roa.verify_decay(cl, design, obs, est, n_samples=500, **knobs),
+    ):
+        with pytest.raises(ValidationError) as info:
+            check()
+        assert info.value.field == field
+
+
 def test_monte_carlo_checks_keep_no_state_record(cert_instance):
     # the default box check records 101 states of 500 samples (3.2 MB) and
     # verify_decay 201 of 200 (2.6 MB) if it keeps the run; folding each
