@@ -53,7 +53,9 @@ class RunConfig:
     """Validated knobs for one pipeline run.
 
     Each field is named after the argparse dest of its flag, so the parsed
-    arguments map onto it as they are.
+    arguments map onto it as they are. ``y_scale`` has no flag: the attack
+    bound gamma_max does not change when Y = y_scale * I is scaled, and a
+    bundle records the value its bound used.
     """
 
     config: str | None = None
@@ -87,6 +89,14 @@ class RunConfig:
             raise ValidationError(
                 "must exceed dt and be finite, got %r" % self.horizon, field="horizon"
             )
+        steps = self.horizon / self.dt
+        # the run ends at round(steps) * dt; past double range _check_steps refuses it
+        if math.isfinite(steps) and abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValidationError(
+                "must be a whole number of dt steps, got %r = %.12g * dt"
+                % (self.horizon, steps),
+                field="horizon",
+            )
         if not 0 <= self.seed < math.inf or int(self.seed) != self.seed:
             raise ValidationError(
                 "must be a nonnegative integer, got %r" % self.seed, field="seed"
@@ -96,7 +106,7 @@ class RunConfig:
 
 def _parse_vector(text, name):
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",")]  # an empty token is an error
         if all(map(math.isfinite, values)):
             return values
     except ValueError:
@@ -112,7 +122,6 @@ _DESIGN_FLAGS = {
     "pi": (str, "target projection direction pi*, comma separated"),
     "gamma_fraction": (float, "fraction of the stability bound used for the attack scaling"),
     "poles": (str, "desired observer poles, comma separated"),
-    "y_scale": (float, "Lyapunov weight Y = scale*I"),
     "w1_scale": (float, "certificate weight W1 = scale*I"),
     "w2_scale": (float, "certificate weight W2 = scale*I"),
     "delta_fraction": (float, "decay margin delta as a fraction of c2"),
@@ -407,9 +416,8 @@ def cmd_synthesize(config):
     )
     if not est.feasible:
         print(
-            "certificate infeasible (c2 = %.6g <= 0): the bundle was written, "
-            "but no region of attraction is certified. Consider retuning the "
-            "observer gain L or the weight matrices W1 and W2." % est.c2
+            "certificate infeasible (%s): the bundle was written, but no region "
+            "of attraction is certified." % "; ".join(est.notes)
         )
         return EXIT_INFEASIBLE
     print(
@@ -502,9 +510,8 @@ def cmd_roa(config):
         )
     else:
         print(
-            "certificate infeasible (c2 = %.6g <= 0): report written without a "
-            "decay check. Consider retuning the observer gain L or the weight "
-            "matrices W1 and W2." % est.c2
+            "certificate infeasible (%s): report written without a decay check."
+            % "; ".join(est.notes)
         )
         code = EXIT_INFEASIBLE
     print(

@@ -150,6 +150,8 @@ def solve_lyapunov(A, Y):
         ) from exc
     S = vecS.reshape((n, n), order="F")
     S = 0.5 * (S + S.T)
+    if not np.all(np.isfinite(S)):
+        raise NumericError("Lyapunov solution is not finite (it leaves double range)")
 
     resid = spectral_norm(A.T @ S + S @ A + Y)
     if resid > TOL_RESIDUAL * spectral_norm(Y):

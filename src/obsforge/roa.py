@@ -8,9 +8,9 @@ c1, c3, c4; whenever c2 = c1 - c3 > 0 the sublevel set
     Omega_c = { (z, e) : V <= ((c2 - delta)/c4)^2 }
 
 is certified: every trajectory starting inside satisfies Vdot <= -delta V.
-The bound is conservative and can be infeasible (c2 <= 0) for aggressive
-observer gains or attack scalings; infeasibility is reported as data, never
-raised. Monte Carlo helpers verify the decay inequality inside Omega_c and
+:func:`certify` is the one certificate entry. The bound is conservative
+and can be infeasible (c2 <= 0) for aggressive observer gains or attack
+scalings; infeasibility is reported as data, never raised. Monte Carlo helpers verify the decay inequality inside Omega_c and
 plain convergence from a box of initial conditions; they run their samples
 in chunks, one per usable CPU, with bit-identical reports.
 """
@@ -23,11 +23,11 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 from .numerics import (
     is_hurwitz,
     lambda_min_sym,
@@ -43,10 +43,6 @@ __all__ = [
     "RoaEstimate",
     "DecayReport",
     "BoxReport",
-    "lyapunov_pairs",
-    "roa_constants",
-    "roa_level",
-    "lyapunov_value",
     "verify_decay",
     "monte_carlo_box_check",
     "certify",
@@ -62,7 +58,8 @@ _MIN_CHUNK = 128
 
 @dataclass(frozen=True)
 class RoaEstimate(Reported):
-    """Certificate data; ``feasible`` is c2 > 0, never an exception."""
+    """Certificate data from :func:`certify`; ``feasible`` is c2 > 0 with every
+    constant and the level inside double range, never an exception."""
 
     P1: np.ndarray
     P2: np.ndarray
@@ -78,8 +75,13 @@ class RoaEstimate(Reported):
     notes: tuple = ()
 
 
-def _check_weight(W, n, field):
-    W = np.asarray(W, dtype=float)
+def _weight(W, n, field):
+    """W as a float array (the identity when None) and its symmetric part.
+
+    Raises ValidationError naming ``field`` unless W is (n, n), finite,
+    symmetric and positive definite.
+    """
+    W = np.eye(n) if W is None else np.asarray(W, dtype=float)
     if W.shape != (n, n):
         raise ValidationError("expected shape (%d, %d)" % (n, n), field=field)
     if not np.all(np.isfinite(W)):
@@ -88,117 +90,7 @@ def _check_weight(W, n, field):
         raise ValidationError("must be symmetric", field=field)
     if np.linalg.eigvalsh(W)[0] <= 0:
         raise ValidationError("must be positive definite", field=field)
-    return 0.5 * (W + W.T)
-
-
-def lyapunov_pairs(design, obs, W1=None, W2=None):
-    """Solve the two certificate Lyapunov equations.
-
-    P1 solves Fbar'P1 + P1 Fbar = -W1 for the attacked loop; P2 solves the
-    same for the error matrix Fbar + L Hbar. Both matrices must be Hurwitz;
-    note the error matrix differs from the placement target
-    Fbar + (B+L) Hbar, so placement alone does not guarantee it.
-    """
-    n = design.Fbar.shape[0]
-    W1 = np.eye(n) if W1 is None else _check_weight(W1, n, "W1")
-    W2 = np.eye(n) if W2 is None else _check_weight(W2, n, "W2")
-    FLH = design.Fbar + obs.L @ design.Hbar
-    if not is_hurwitz(design.Fbar):
-        raise AssumptionError(
-            "Fbar is not Hurwitz (abscissa %.3e)" % spectral_abscissa(design.Fbar)
-        )
-    if not is_hurwitz(FLH):
-        raise AssumptionError(
-            "error matrix Fbar + L Hbar is not Hurwitz (abscissa %.3e); "
-            "the certificate requires it even though pole placement targets "
-            "Fbar + (B+L) Hbar" % spectral_abscissa(FLH)
-        )
-    P1 = solve_lyapunov(design.Fbar, W1)
-    P2 = solve_lyapunov(FLH, W2)
-    return P1, P2
-
-
-def roa_constants(P1, P2, W1, W2, B, L, Q, design) -> RoaEstimate:
-    """Combine the Lyapunov pairs into the certificate constants.
-
-    c1 bounds the linear decay, c3 the (z, e) cross coupling (linear in the
-    attack row Hbar, so it vanishes as gamma -> 0), c4 the quadratic output
-    nonlinearity. Infeasibility (c2 = c1 - c3 <= 0) is recorded, not raised.
-    """
-    B = np.asarray(B, dtype=float).reshape(-1, 1)
-    L = np.asarray(L, dtype=float).reshape(-1, 1)
-    Q = np.asarray(Q, dtype=float)
-    Hbar = design.Hbar
-    BL = B + L
-
-    lmin1 = lambda_min_sym(P1)
-    lmin2 = lambda_min_sym(P2)
-    c1 = min(lambda_min_sym(W1), lambda_min_sym(W2)) / max(
-        spectral_norm(P1), spectral_norm(P2)
-    )
-    c3 = (
-        2.0 * spectral_norm(P1 @ B @ Hbar) + 2.0 * spectral_norm(Hbar.T @ BL.T @ P2)
-    ) / math.sqrt(lmin1 * lmin2)
-    nQ = spectral_norm(Q)
-    nP2BL = spectral_norm(P2 @ BL)
-    c4 = (
-        2.0 * spectral_norm(P1 @ B) * nQ / lmin1**1.5
-        + 4.0 * nP2BL * nQ / (math.sqrt(lmin1) * lmin2)
-        + 2.0 * nP2BL * nQ / lmin2**1.5
-    )
-    c2 = c1 - c3
-    return RoaEstimate(
-        P1=P1,
-        P2=P2,
-        W1=np.asarray(W1, dtype=float),
-        W2=np.asarray(W2, dtype=float),
-        c1=float(c1),
-        c3=float(c3),
-        c4=float(c4),
-        c2=float(c2),
-        feasible=bool(c2 > 0.0),
-    )
-
-
-def roa_level(estimate, delta) -> RoaEstimate:
-    """Fix the decay margin delta and compute the certified sublevel value.
-
-    c4 = 0 (no quadratic nonlinearity at all) makes the bound global; the
-    level is then the +inf sentinel with a note.
-    """
-    if not estimate.feasible:
-        raise ValidationError(
-            "certificate is infeasible (c2 = %.6g <= 0); no admissible delta"
-            % estimate.c2,
-            field="delta",
-        )
-    delta = float(delta)
-    if not 0.0 < delta < estimate.c2:
-        raise ValidationError(
-            "must lie strictly inside (0, c2) = (0, %.6g), got %.6g"
-            % (estimate.c2, delta),
-            field="delta",
-        )
-    if estimate.c4 == 0.0:
-        return replace(
-            estimate,
-            delta=delta,
-            level=math.inf,
-            notes=estimate.notes
-            + (
-                "c4 = 0: no quadratic nonlinearity, the linear analysis is "
-                "global and the sublevel bound degenerates to +inf",
-            ),
-        )
-    level = ((estimate.c2 - delta) / estimate.c4) ** 2
-    return replace(estimate, delta=delta, level=float(level))
-
-
-def lyapunov_value(P1, P2, z, e):
-    """V(z, e) = z'P1 z + e'P2 e."""
-    z = np.asarray(z, dtype=float)
-    e = np.asarray(e, dtype=float)
-    return float(z @ P1 @ z + e @ P2 @ e)
+    return W, 0.5 * W + 0.5 * W.T  # halves first: no overflow near the largest double
 
 
 def _sample_in_ellipsoid(evecs, sqrt_evals, level, rng):
@@ -393,7 +285,7 @@ def verify_decay(
     if not estimate.feasible or estimate.level is None or estimate.delta is None:
         raise ValidationError(
             "need a feasible estimate with delta and level set "
-            "(run roa_constants then roa_level)",
+            "(as certify returns for a feasible certificate)",
             field="estimate",
         )
     if not math.isfinite(estimate.level):
@@ -580,34 +472,101 @@ def monte_carlo_box_check(
 
 
 def certify(closed_loop, design, obs, W1=None, W2=None, delta_fraction=DEFAULT_DELTA_FRACTION):
-    """End-to-end certificate attempt; infeasibility comes back as data.
+    """The certificate of the coupled loop; infeasibility comes back as data.
+
+    P1 solves Fbar'P1 + P1 Fbar = -W1 for the attacked loop and P2 the same
+    with W2 for the error matrix Fbar + L Hbar; the weights default to the
+    identity. Both matrices must be Hurwitz; note the error matrix differs
+    from the placement target Fbar + (B+L) Hbar, so placement alone does not
+    guarantee it. Then c1 bounds the linear decay, c3 the (z, e) cross
+    coupling (linear in the attack row Hbar, so it vanishes as gamma -> 0)
+    and c4 the quadratic output nonlinearity. When c2 = c1 - c3 > 0 the
+    decay margin is delta = delta_fraction * c2 and the certified sublevel
+    value is ((c2 - delta)/c4)^2; c4 = 0 (no quadratic nonlinearity at all)
+    makes the bound global, and the level is then the +inf sentinel with a
+    note.
 
     Returns a RoaEstimate: feasible with delta and level filled in, or
     infeasible with notes explaining which requirement failed (c2 <= 0, a
-    matrix of :func:`lyapunov_pairs` not Hurwitz, or a Lyapunov solve that
-    misses its residual check).
+    matrix not Hurwitz, a Lyapunov solve that fails its checks, or a
+    constant or level past double range). A weight that is not an (n, n)
+    finite symmetric positive definite matrix raises ValidationError naming
+    W1 or W2, and a delta outside (0, c2) one naming delta.
     """
     n = closed_loop.n
-    W1 = np.eye(n) if W1 is None else np.asarray(W1, dtype=float)
-    W2 = np.eye(n) if W2 is None else np.asarray(W2, dtype=float)
+    (W1, Y1), (W2, Y2) = _weight(W1, n, "W1"), _weight(W2, n, "W2")
+    Fbar, Hbar, B = design.Fbar, design.Hbar, closed_loop.B
+    FLH = Fbar + obs.L @ Hbar
+    notes = ()
+    if not is_hurwitz(Fbar):
+        notes = ("Fbar is not Hurwitz (abscissa %.3e)" % spectral_abscissa(Fbar),)
+    elif not is_hurwitz(FLH):
+        notes = (
+            "error matrix Fbar + L Hbar is not Hurwitz (abscissa %.3e); "
+            "the certificate requires it even though pole placement targets "
+            "Fbar + (B+L) Hbar" % spectral_abscissa(FLH),
+        )
+    else:
+        try:
+            P1, P2 = solve_lyapunov(Fbar, Y1), solve_lyapunov(FLH, Y2)
+        except NumericError as exc:
+            notes = (str(exc),)
+    if notes:
+        z, nan = np.zeros((n, n)), math.nan
+        return RoaEstimate(P1=z, P2=z, W1=W1, W2=W2, c1=nan, c3=nan, c4=nan, c2=nan,
+                           feasible=False, notes=notes)
+
+    BL = B + obs.L
+    c1 = min(lambda_min_sym(W1), lambda_min_sym(W2)) / max(spectral_norm(P1), spectral_norm(P2))
+    # numpy scalars, so that an overflow or a division by zero below raises
+    # FloatingPointError; the numbers it cuts short stay NaN
+    lmin1, lmin2 = np.float64(lambda_min_sym(P1)), np.float64(lambda_min_sym(P2))
+    c3 = c4 = c2 = delta = level = math.nan
     try:
-        P1, P2 = lyapunov_pairs(design, obs, W1, W2)
-    except (AssumptionError, NumericError) as exc:
-        z = np.zeros((n, n))
-        return RoaEstimate(
-            P1=z, P2=z, W1=W1, W2=W2,
-            c1=math.nan, c3=math.nan, c4=math.nan, c2=math.nan,
-            feasible=False,
-            notes=(str(exc),),
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            c3 = (
+                2.0 * spectral_norm(P1 @ B @ Hbar) + 2.0 * spectral_norm(Hbar.T @ BL.T @ P2)
+            ) / np.sqrt(lmin1 * lmin2)
+            c2 = float(c1 - c3)
+            nQ = spectral_norm(closed_loop.Q)
+            nP2BL = spectral_norm(P2 @ BL)
+            c4 = (
+                2.0 * spectral_norm(P1 @ B) * nQ / lmin1**1.5
+                + 4.0 * nP2BL * nQ / (np.sqrt(lmin1) * lmin2)
+                + 2.0 * nP2BL * nQ / lmin2**1.5
+            )
+            delta = float(delta_fraction * c2)
+            level = float(((c2 - delta) / c4) ** 2) if c4 else math.inf
+    except FloatingPointError:
+        pass
+    if not all(map(math.isfinite, (c1, c3, c4))):
+        notes = (
+            "certificate constants leave double range (c1 = %.6g, c3 = %.6g, "
+            "c4 = %.6g); rescale the weights W1/W2" % (c1, c3, c4),
         )
-    est = roa_constants(P1, P2, W1, W2, closed_loop.B, obs.L, closed_loop.Q, design)
-    if not est.feasible:
-        return replace(
-            est,
-            notes=est.notes
-            + (
-                "c2 = c1 - c3 = %.6g <= 0: cross-coupling bound dominates; "
-                "retune the observer gain or the weights W1/W2" % est.c2,
-            ),
+    elif not c2 > 0.0:
+        notes = (
+            "c2 = c1 - c3 = %.6g <= 0: cross-coupling bound dominates; "
+            "retune the observer gain or the weights W1/W2" % c2,
         )
-    return roa_level(est, delta_fraction * est.c2)
+    elif not 0.0 < delta < c2:
+        raise ValidationError(
+            "must lie strictly inside (0, c2) = (0, %.6g), got %.6g" % (c2, delta),
+            field="delta",
+        )
+    elif math.isnan(level):
+        notes = (
+            "certified level ((c2 - delta)/c4)^2 leaves double range "
+            "(c2 = %.6g, delta = %.6g, c4 = %.6g)" % (c2, delta, c4),
+        )
+    feasible = not notes
+    if feasible and level == math.inf:
+        notes = (
+            "c4 = 0: no quadratic nonlinearity, the linear analysis is "
+            "global and the sublevel bound degenerates to +inf",
+        )
+    return RoaEstimate(
+        P1=P1, P2=P2, W1=W1, W2=W2, c1=float(c1), c3=float(c3), c4=float(c4), c2=c2,
+        feasible=feasible, delta=delta if feasible else None,
+        level=level if feasible else None, notes=notes,
+    )

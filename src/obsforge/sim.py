@@ -385,6 +385,10 @@ def fit_decay(traj, window=None, fit_slack=FIT_SLACK, series="e"):
         )
 
     tw = t[sel]
+    if not np.sum(tw * tw) > 0.0:  # polyfit would scale its time column by this norm, 0
+        raise ValidationError(
+            "degenerate fit: the squares of the window's times underflow to 0", field="window"
+        )
     logn = np.log(norms[sel])
     slope, intercept = np.polyfit(tw, logn, 1)
     predicted = slope * tw + intercept

@@ -15,7 +15,7 @@ import pytest
 
 import obsforge
 from obsforge import cli, observer, refcase, roa
-from obsforge.errors import AssumptionError
+from obsforge.errors import NumericError, ValidationError
 
 # obsforge.__all__: the submodules, the layers' public names, the version
 PUBLIC_API = {
@@ -29,9 +29,8 @@ PUBLIC_API = {
     "build_design", "certify", "choose_pi_star", "coupled_field", "default_poles",
     "design_gain", "error_rhs", "fit_decay", "forbidden_set",
     "gain_from_vector", "gamma_max", "integrate", "integrate_batch",
-    "is_observable", "load_system", "lyapunov_pairs", "lyapunov_value",
-    "monte_carlo_box_check", "observer_rhs", "plant_rhs", "roa_constants",
-    "roa_level", "system_from_dict", "trajectory_to_csv", "validate_assumptions",
+    "is_observable", "load_system", "monte_carlo_box_check", "observer_rhs",
+    "plant_rhs", "system_from_dict", "trajectory_to_csv", "validate_assumptions",
     "verify_decay", "write_gnuplot_stub",
 }
 
@@ -113,7 +112,7 @@ def test_every_public_name_resolves_after_plain_import():
 
 
 def test_public_api_is_pinned():
-    assert len(obsforge.__all__) == len(PUBLIC_API) == 61
+    assert len(obsforge.__all__) == len(PUBLIC_API) == 57
     assert set(obsforge.__all__) == PUBLIC_API
     for name in PUBLIC_API - {"__version__"}:
         value = getattr(obsforge, name)
@@ -170,7 +169,6 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path):
         ["--pi", "5"],
         ["--gamma-fraction", "0.5"],
         ["--poles=-50,-60"],
-        ["--y-scale", "3"],
         ["--w1-scale", "7"],
         ["--w2-scale", "7"],
         ["--delta-fraction", "0.5"],
@@ -427,10 +425,10 @@ def test_reproduce_detects_drift(tmp_path, monkeypatch, capsys, key, perturb):
 
 
 def test_reproduce_fails_nan_certificate_constants(monkeypatch):
-    def raise_assumption(*args, **kwargs):
-        raise AssumptionError("error matrix is not Hurwitz")
+    def raise_numeric(*args, **kwargs):
+        raise NumericError("Lyapunov residual exceeds its tolerance")
 
-    monkeypatch.setattr(roa, "lyapunov_pairs", raise_assumption)
+    monkeypatch.setattr(roa, "solve_lyapunov", raise_numeric)
     results, mismatches = refcase.run_reference_case(T=0.5)
     assert results["reproduced"] is False
     for key in ("roa_c1", "roa_c3"):
@@ -479,17 +477,17 @@ def test_subcommand_flag_sets(capsys):
         "validate": {"--help", "--config", "--seed", "--out"},
         "synthesize": {
             "--help", "--config", "--seed", "--out", "--pi", "--gamma-fraction",
-            "--poles", "--y-scale", "--w1-scale", "--w2-scale", "--delta-fraction",
+            "--poles", "--w1-scale", "--w2-scale", "--delta-fraction",
         },
         "simulate": {
             "--help", "--config", "--bundle", "--seed", "--out", "--dt", "--horizon",
-            "--pi", "--gamma-fraction", "--poles", "--y-scale", "--w1-scale",
-            "--w2-scale", "--delta-fraction", "--z0", "--zhat0",
+            "--pi", "--gamma-fraction", "--poles", "--w1-scale", "--w2-scale",
+            "--delta-fraction", "--z0", "--zhat0",
         },
         "roa": {
             "--help", "--config", "--bundle", "--seed", "--out", "--dt", "--horizon",
-            "--pi", "--gamma-fraction", "--poles", "--y-scale", "--w1-scale",
-            "--w2-scale", "--delta-fraction",
+            "--pi", "--gamma-fraction", "--poles", "--w1-scale", "--w2-scale",
+            "--delta-fraction",
         },
         "reproduce-paper": {"--help", "--seed", "--out", "--dt", "--horizon"},
     }
@@ -501,7 +499,7 @@ def test_subcommand_flag_sets(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["synthesize", "--y-scale", "inf"],
+        ["synthesize", "--w2-scale", "inf"],
         ["synthesize", "--w1-scale", "inf"],
         ["synthesize", "--pi=nan,1"],
         ["simulate", "--horizon", "inf"],
@@ -513,6 +511,82 @@ def test_non_finite_knobs_are_input_errors(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
     err = capsys.readouterr().err.splitlines()
     assert any(line.startswith("input error:") for line in err), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--w1-scale", "1e308"],  # used to die in the SVD of an overflowed residual
+        ["--w2-scale", "1e300"],  # used to die with OverflowError
+        ["--w2-scale", "1e-250"],  # used to exit 1 on a division by zero
+    ],
+)
+def test_extreme_certificate_weights_exit_infeasible(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert cli.main(["synthesize", "--out", str(out)] + argv) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err == ""
+    est = _read_json(out / "bundle.json")["roa"]
+    assert est["feasible"] is False
+    assert est["level"] is None
+    assert len(est["notes"]) == 1
+
+
+def test_y_scale_flag_is_gone(tmp_path, capsys):
+    # gamma_max = lambda_min(Y) / (4 ||S B|| ||Q_p pi*||) with A'S + SA = -Y
+    # does not change when Y is scaled, so the flag set nothing
+    out = str(tmp_path / "o")
+    for command in ("synthesize", "simulate", "roa"):
+        assert cli.main([command, "--out", out, "--y-scale", "1"]) == cli.EXIT_INPUT
+        assert "--y-scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["synthesize", "--pi=1,,-3"], "pi"),  # used to design as --pi=1,-3
+        (["synthesize", "--pi=,"], "pi"),  # used to pick a seeded pi*
+        (["synthesize", "--pi=1,-3,"], "pi"),
+        (["synthesize", "--poles=-1, ,-2,-3,-4"], "poles"),
+        (["simulate", "--z0=,"], "z0"),  # used to report a component count
+        (["simulate", "--zhat0=0.1,,0.1,0.1,0.1"], "zhat0"),
+    ],
+)
+def test_empty_vector_tokens_are_input_errors(tmp_path, capsys, argv, field):
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error: %s: expected comma-separated finite reals" % field in err
+
+
+def test_empty_vector_flag_means_not_given(tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(["synthesize", "--out", str(out / "a"), "--pi="]) == cli.EXIT_INFEASIBLE
+    assert cli.main(["synthesize", "--out", str(out / "b")]) == cli.EXIT_INFEASIBLE
+    assert (out / "a" / "bundle.json").read_bytes() == (out / "b" / "bundle.json").read_bytes()
+
+
+def test_horizon_must_be_whole_number_of_steps(tmp_path, capsys):
+    # 1.0003 = 2500.75 steps of 0.0004: the run used to end at t = 1.0004
+    # while simulate.json and roa.json reported T = 1.0003
+    for horizon in ("1.0003", "1.0001"):
+        for command in ("simulate", "roa"):
+            argv = [command, "--out", str(tmp_path / "o"), "--dt", "0.0004", "--horizon", horizon]
+            assert cli.main(argv) == cli.EXIT_INPUT, argv
+            assert "input error: horizon: must be a whole number of dt steps" in capsys.readouterr().err
+    with pytest.raises(ValidationError) as excinfo:
+        cli.RunConfig(dt=4e-4, horizon=1.0003)
+    assert excinfo.value.field == "horizon"
+    for dt, horizon in ((4e-4, 1.0004), (1e-3, 0.3), (1e-3, 5.0), (1e-200, 3e-200)):
+        assert cli.RunConfig(dt=dt, horizon=horizon).horizon == horizon
+
+
+def test_simulate_on_tiny_steps_writes_null_fit(tmp_path):
+    # every t**2 underflows at dt = 1e-200; the fit used to die in np.polyfit
+    out = tmp_path / "o"
+    argv = ["simulate", "--out", str(out), "--dt", "1e-200", "--horizon", "3e-200"]
+    assert cli.main(argv) == cli.EXIT_OK
+    payload = _read_json(out / "simulate.json")
+    assert payload["decay_fit"] is None
+    assert payload["T"] == 3e-200
 
 
 def _assert_bundle_refused(path, field, out, capsys):

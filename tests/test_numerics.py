@@ -91,6 +91,12 @@ def test_solve_lyapunov_residual_and_definiteness():
         assert spectral_norm(A.T @ S + S @ A + Y) <= 1e-8
 
 
+def test_solve_lyapunov_rejects_solution_past_double_range():
+    # S = Y / 0.5 = 2e308 overflows; its residual used to reach the SVD as NaN
+    with pytest.raises(NumericError, match="not finite"):
+        solve_lyapunov(-0.25 * np.eye(2), 1e308 * np.eye(2))
+
+
 def test_solve_lyapunov_unstable_rejected():
     # eigenvalues +1/-1 sum to zero: Kronecker system is singular
     A = np.diag([1.0, -1.0])

@@ -13,15 +13,16 @@ import numpy as np
 import pytest
 
 from obsforge import attack, observer, roa, sim
-from obsforge.errors import AssumptionError, SynthesisError, ValidationError
+from obsforge.errors import SynthesisError, ValidationError
 from obsforge.numerics import is_hurwitz
 
 
 def test_lyapunov_pairs_solve_certificate_equations(cert_instance):
-    cl, design, obs, _ = cert_instance
+    # certify's P1 and P2 solve the two certificate Lyapunov equations
+    cl, design, obs, est = cert_instance
     W1 = np.eye(cl.n)
     W2 = np.eye(cl.n)
-    P1, P2 = roa.lyapunov_pairs(design, obs, W1, W2)
+    P1, P2 = est.P1, est.P2
     FLH = design.Fbar + obs.L @ design.Hbar
     r1 = design.Fbar.T @ P1 + P1 @ design.Fbar + W1
     r2 = FLH.T @ P2 + P2 @ FLH + W2
@@ -40,20 +41,30 @@ def test_lyapunov_pairs_reject_unstable_error_matrix(ref_system):
     # though the placement target Fbar + (B+L) Hbar is a separate matrix.
     obs = observer.gain_from_vector(design, cl.B, -50.0 * cl.B)
     assert not is_hurwitz(design.Fbar + obs.L @ design.Hbar)
-    with pytest.raises(AssumptionError, match="not Hurwitz"):
-        roa.lyapunov_pairs(design, obs)
+    est = roa.certify(cl, design, obs)
+    assert not est.feasible
+    assert len(est.notes) == 1
+    assert est.notes[0].startswith("error matrix Fbar + L Hbar is not Hurwitz")
+    assert np.all(est.P1 == 0) and np.all(est.P2 == 0)
+    assert all(math.isnan(c) for c in (est.c1, est.c2, est.c3, est.c4))
+    assert est.delta is None and est.level is None
 
 
 def test_weight_matrix_validation(cert_instance):
-    _, design, obs, _ = cert_instance
-    with pytest.raises(ValidationError, match="shape"):
-        roa.lyapunov_pairs(design, obs, W1=np.eye(3))
+    cl, design, obs, _ = cert_instance
     bad = np.eye(4)
     bad[0, 1] = 0.2
-    with pytest.raises(ValidationError, match="symmetric"):
-        roa.lyapunov_pairs(design, obs, W1=bad)
-    with pytest.raises(ValidationError, match="positive definite"):
-        roa.lyapunov_pairs(design, obs, W2=-np.eye(4))
+    for name, W, reason in (
+        ("W1", np.eye(3), "shape"),
+        ("W2", np.eye(3), "shape"),
+        ("W1", bad, "symmetric"),
+        ("W2", bad, "symmetric"),
+        ("W1", -np.eye(4), "positive definite"),
+        ("W2", -np.eye(4), "positive definite"),
+    ):
+        with pytest.raises(ValidationError, match=reason) as excinfo:
+            roa.certify(cl, design, obs, **{name: W})
+        assert excinfo.value.field == name
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -68,9 +79,41 @@ def test_certify_rejects_nonfinite_weight(cert_instance, name, bad):
     assert excinfo.value.field == name
 
 
+@pytest.mark.parametrize(
+    "w1, w2, note",
+    [
+        (1e308, 1.0, "Lyapunov solution is not finite"),  # used to raise LinAlgError
+        (1.0, 1e300, "certificate constants leave double range"),  # OverflowError
+        (1.0, 1e-250, "certificate constants leave double range"),  # ZeroDivisionError
+        # lmin1**1.5 overflowed to inf, so c4 read 0 and the set global
+        (1e305, 1e305, "certificate constants leave double range"),
+    ],
+)
+def test_certify_extreme_weights_are_infeasible_data(ref_system, ref_design, ref_observer, w1, w2, note):
+    _, _, cl = ref_system
+    I = np.eye(cl.n)
+    est = roa.certify(cl, ref_design, ref_observer, W1=w1 * I, W2=w2 * I)
+    assert not est.feasible
+    assert est.delta is None and est.level is None
+    assert len(est.notes) == 1 and est.notes[0].startswith(note)
+    assert not all(map(math.isfinite, (est.c1, est.c3, est.c4)))
+
+
+def test_certify_level_past_double_range_is_infeasible_data(cert_instance):
+    # a tiny output weight leaves c1, c3 alone and makes c4 tiny, so the
+    # level ((c2 - delta)/c4)**2 overflows
+    cl, design, obs, est = cert_instance
+    out = roa.certify(replace(cl, Q=1e-160 * cl.Q), design, obs)
+    assert (out.c1, out.c3, out.c2) == (est.c1, est.c3, est.c2)
+    assert 0.0 < out.c4 < 1e-150
+    assert not out.feasible
+    assert out.delta is None and out.level is None
+    assert len(out.notes) == 1 and out.notes[0].startswith("certified level")
+
+
 def test_constants_match_direct_formulas(make_random_system, cert_instance):
-    # Recompute every constant from scratch with plain numpy calls and
-    # compare against roa_constants on the same Lyapunov pairs.
+    # Recompute every constant and the level from scratch with plain numpy
+    # calls and compare against certify on its own Lyapunov pairs.
     def direct(P1, P2, W1, W2, B, L, Q, Hbar):
         lminP1 = np.linalg.eigvalsh(P1)[0]
         lminP2 = np.linalg.eigvalsh(P2)[0]
@@ -107,14 +150,17 @@ def test_constants_match_direct_formulas(make_random_system, cert_instance):
         M2 = rng.normal(size=(cl.n, cl.n))
         W1 = M1 @ M1.T + 0.5 * np.eye(cl.n)
         W2 = M2 @ M2.T + 0.5 * np.eye(cl.n)
-        P1, P2 = roa.lyapunov_pairs(design, obs, W1, W2)
-        est = roa.roa_constants(P1, P2, W1, W2, cl.B, obs.L, cl.Q, design)
-        c1, c3, c4 = direct(P1, P2, W1, W2, cl.B, obs.L, cl.Q, design.Hbar)
+        est = roa.certify(cl, design, obs, W1=W1, W2=W2)
+        c1, c3, c4 = direct(est.P1, est.P2, W1, W2, cl.B, obs.L, cl.Q, design.Hbar)
         assert est.c1 == pytest.approx(c1, rel=1e-12)
         assert est.c3 == pytest.approx(c3, rel=1e-12)
         assert est.c4 == pytest.approx(c4, rel=1e-12)
         assert est.c2 == pytest.approx(c1 - c3, rel=1e-12, abs=1e-12)
         assert est.feasible == (est.c2 > 0)
+        if est.feasible:
+            delta = 0.1 * (c1 - c3)
+            assert est.delta == pytest.approx(delta, rel=1e-12)
+            assert est.level == pytest.approx(((c1 - c3 - delta) / c4) ** 2, rel=1e-11)
         checked += 1
     assert checked >= 50
 
@@ -146,40 +192,33 @@ def test_reference_design_certificate_infeasible(ref_system, ref_design, ref_obs
     joined = " ".join(est.notes)
     assert "c2" in joined
     assert "W1" in joined
-    with pytest.raises(ValidationError, match="infeasible"):
-        roa.roa_level(est, 0.1)
+    # an infeasible certificate admits no delta, so delta_fraction is not read
+    assert roa.certify(cl, ref_design, ref_observer, delta_fraction=2.0).notes == est.notes
 
 
 def test_roa_level_validates_delta(cert_instance):
-    _, _, _, est = cert_instance
-    for bad in (0.0, -0.5, est.c2, 2.0 * est.c2):
-        with pytest.raises(ValidationError, match=r"\(0, "):
-            roa.roa_level(est, bad)
+    # delta = delta_fraction * c2 must lie strictly inside (0, c2)
+    cl, design, obs, _ = cert_instance
+    for fraction in (0.0, 1.0, 2.0):
+        with pytest.raises(ValidationError, match=r"\(0, ") as excinfo:
+            roa.certify(cl, design, obs, delta_fraction=fraction)
+        assert excinfo.value.field == "delta"
 
 
 def test_roa_level_monotone_in_delta(cert_instance):
-    _, _, _, est = cert_instance
-    levels = [roa.roa_level(est, f * est.c2).level for f in (0.1, 0.5, 0.9)]
+    cl, design, obs, _ = cert_instance
+    levels = [roa.certify(cl, design, obs, delta_fraction=f).level for f in (0.1, 0.5, 0.9)]
     assert levels[0] > levels[1] > levels[2] > 0
 
 
 def test_roa_level_infinite_without_quadratic_term(cert_instance):
-    _, _, _, est = cert_instance
-    linear = replace(est, c4=0.0, delta=None, level=None)
-    out = roa.roa_level(linear, 0.5 * est.c2)
+    cl, design, obs, est = cert_instance
+    out = roa.certify(replace(cl, Q=0), design, obs)
+    assert out.c4 == 0.0
+    assert (out.c1, out.c3) == (est.c1, est.c3)
+    assert out.feasible
     assert out.level == math.inf
     assert any("c4" in note for note in out.notes)
-
-
-def test_lyapunov_value_matches_quadratic_form(cert_instance):
-    _, _, _, est = cert_instance
-    rng = np.random.default_rng(9)
-    z = rng.normal(size=4)
-    e = rng.normal(size=4)
-    expected = float(z @ est.P1 @ z + e @ est.P2 @ e)
-    assert roa.lyapunov_value(est.P1, est.P2, z, e) == pytest.approx(
-        expected, rel=1e-14
-    )
 
 
 def test_ellipsoid_sampler_fills_sublevel_set(cert_instance):

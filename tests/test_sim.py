@@ -474,6 +474,17 @@ def test_fit_decay_validation():
         sim.fit_decay(traj, series="z")  # z stays identically zero here
 
 
+def test_fit_decay_on_times_whose_squares_underflow():
+    # at dt = 1e-200 every t**2 underflows to 0, which polyfit's column
+    # scaling turns into NaN and a LinAlgError; at 1e-162 some do not
+    tiny = _synthetic_traj(np.arange(4) * 1e-200, np.array([1.0, 0.9, 0.8, 0.7]))
+    with pytest.raises(ValidationError, match="degenerate fit") as excinfo:
+        sim.fit_decay(tiny)
+    assert excinfo.value.field == "window"
+    small = _synthetic_traj(np.arange(4) * 1e-162, np.array([1.0, 0.9, 0.8, 0.7]))
+    assert sim.fit_decay(small).n_points == 4
+
+
 def test_trajectory_csv_roundtrip(tmp_path, ref_system, ref_design, ref_observer):
     traj = _reference_run(ref_system, ref_design, ref_observer, T=0.02, stride=2)
     a = traj.a.copy()
