@@ -79,24 +79,13 @@ class RunConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValidationError("must lie in (0, 1), got %r" % value, field=name)
-        for name in ("y_scale", "w1_scale", "w2_scale", "dt"):
+        for name in ("y_scale", "w1_scale", "w2_scale"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValidationError(
                     "must be positive and finite, got %r" % value, field=name
                 )
-        if not self.dt < self.horizon < math.inf:
-            raise ValidationError(
-                "must exceed dt and be finite, got %r" % self.horizon, field="horizon"
-            )
-        steps = self.horizon / self.dt
-        # the run ends at round(steps) * dt; past double range _check_steps refuses it
-        if math.isfinite(steps) and abs(steps - round(steps)) > 1e-9 * steps:
-            raise ValidationError(
-                "must be a whole number of dt steps, got %r = %.12g * dt"
-                % (self.horizon, steps),
-                field="horizon",
-            )
+        sim._check_steps(self.dt, self.horizon, 1, "horizon")
         if not 0 <= self.seed < math.inf or int(self.seed) != self.seed:
             raise ValidationError(
                 "must be a nonnegative integer, got %r" % self.seed, field="seed"

@@ -40,7 +40,7 @@ TOL_SYM = 1e-12
 
 def _asymmetry_bound(M):
     """TOL_SYM relative to the largest entry of M (absolute below 1), as in
-    ``numerics.lambda_min_sym``."""
+    the certificate's weight check."""
     return TOL_SYM * max(1.0, np.abs(M).max())
 
 

@@ -5,16 +5,13 @@ tens), so the implementations favour transparency over asymptotics: the
 Lyapunov equation is solved by Kronecker vectorization and pole placement
 reads one gain row per target off the PBH pencil [pI - F; -H]. Complex
 arithmetic stays inside this module; returned gains and solutions are real.
-The module needs numpy only: spectra are matched by a plain-Python
-assignment solver, because importing ``scipy.optimize`` costs more than
-every call made here. For the same reason the kernels call the LAPACK-backed
-numpy routine directly: at n <= 16, numpy's generic wrappers
-(``norm(ord=2)``, ``allclose``, ``kron``) cost more than the kernels they wrap.
+The module needs numpy only, and the kernels call the LAPACK-backed numpy
+routine directly: at n <= 16, numpy's generic wrappers (``norm(ord=2)``,
+``allclose``, ``kron``) cost more than the kernels they wrap.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +24,6 @@ __all__ = [
     "solve_lyapunov",
     "place_poles_dual",
     "spectral_norm",
-    "lambda_min_sym",
     "spectral_abscissa",
     "is_hurwitz",
     "spectrum_distance",
@@ -127,7 +123,10 @@ def solve_lyapunov(A, Y):
     -vec(Y), then symmetrized. O(n^6) but transparent, fine at desk scale.
     The operator is filled block by block, A' on the diagonal blocks plus
     A'[p, s] I in block (p, s), in the order the two Kronecker products would
-    add, so it equals their sum entry for entry.
+    add, so it equals their sum entry for entry. Y is first scaled by the
+    power of two that brings its largest entry into [1/2, 1), and S scaled
+    back at the end; that changes no bit outside the subnormal range, and
+    keeps the solve from overflowing before S does.
     """
     A = np.asarray(A, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -136,6 +135,8 @@ def solve_lyapunov(A, Y):
         raise ValueError(
             "shape mismatch: A %s vs Y %s" % (A.shape, Y.shape)
         )
+    k = np.frexp(np.abs(Y).max())[1]
+    Y = np.ldexp(Y, -k)
     # K[p, q, s, t] is row p*n + q, column s*n + t of the (n^2, n^2) operator
     K = np.zeros((n, n, n, n))
     i = np.arange(n)
@@ -150,20 +151,21 @@ def solve_lyapunov(A, Y):
         ) from exc
     S = vecS.reshape((n, n), order="F")
     S = 0.5 * (S + S.T)
-    if not np.all(np.isfinite(S)):
-        raise NumericError("Lyapunov solution is not finite (it leaves double range)")
-
-    resid = spectral_norm(A.T @ S + S @ A + Y)
-    if resid > TOL_RESIDUAL * spectral_norm(Y):
-        raise NumericError(
-            "Lyapunov residual %.3e exceeds %.1e * ||Y||" % (resid, TOL_RESIDUAL)
-        )
+    with np.errstate(over="ignore"):
+        unscaled = np.ldexp(S, k)
+        if not np.all(np.isfinite(unscaled)):
+            raise NumericError("Lyapunov solution is not finite (it leaves double range)")
+        resid = spectral_norm(A.T @ S + S @ A + Y)
+        if resid > TOL_RESIDUAL * spectral_norm(Y):
+            raise NumericError(
+                "Lyapunov residual %.3e exceeds %.1e * ||Y||" % (np.ldexp(resid, k), TOL_RESIDUAL)
+            )
     if np.any(np.linalg.eigvalsh(S) <= 0):
         raise NumericError(
             "Lyapunov solution is not positive definite "
-            "(lambda_min = %.3e); is A Hurwitz?" % np.linalg.eigvalsh(S).min()
+            "(lambda_min = %.3e); is A Hurwitz?" % np.ldexp(np.linalg.eigvalsh(S).min(), k)
         )
-    return S
+    return unscaled
 
 
 def place_poles_dual(F, Hrow, desired):
@@ -237,25 +239,6 @@ def spectral_norm(M):
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
-def lambda_min_sym(M):
-    """Smallest eigenvalue of a symmetric matrix.
-
-    Raises ValueError if the input is asymmetric beyond 1e-12 relative,
-    since the real-spectrum reading would silently be wrong there, and if
-    an entry is NaN or infinite, which has no smallest eigenvalue to read.
-    """
-    M = np.asarray(M, dtype=float)
-    scale = max(np.abs(M).max(), 1.0)
-    if not scale < math.inf:
-        raise ValueError("lambda_min_sym requires finite entries")
-    asymmetry = np.abs(M - M.T).max()
-    if not asymmetry <= 1e-12 * scale:
-        raise ValueError(
-            "lambda_min_sym requires a symmetric matrix; asymmetry %.3e" % asymmetry
-        )
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
-
-
 def spectral_abscissa(M):
     """max Re lambda over the spectrum of M."""
     return float(np.max(np.linalg.eigvals(np.asarray(M, dtype=float)).real))
@@ -267,14 +250,15 @@ def is_hurwitz(M):
 
 
 def spectrum_distance(got, target):
-    """Worst-case eigenvalue mismatch between two equal-size multisets.
+    """Optimal matching distance between two equal-size multisets.
 
-    Matches the two spectra by minimum-cost assignment and returns the
-    largest paired distance, so the result is pairing-order independent.
-    The assignment comes from Crouse's shortest augmenting path solver
-    (IEEE TAES 2016), ported step for step from the one behind
-    ``scipy.optimize.linear_sum_assignment``; it picks the same pairing as
-    scipy, ties included, so the returned float is the same as well.
+    The least, over pairings sigma, of max |got[i] - target[sigma(i)]|
+    (Bhatia, Matrix Analysis, ch. VI), so the result does not depend on the
+    order of either spectrum. No pairing beats the largest distance from an
+    eigenvalue of either side to its nearest partner; when the pairs within
+    that bound hold a perfect matching, the bound is the answer, and
+    otherwise a bisection over the larger pairwise distances finds the least
+    one whose pairs do.
 
     Raises
     ------
@@ -288,69 +272,36 @@ def spectrum_distance(got, target):
     cost = np.abs(got[:, None] - target[None, :])
     if not np.all(np.isfinite(cost)):
         raise ValueError("spectra have non-finite entries or distances")
-    cost = cost.tolist()
-    return max(row[j] for row, j in zip(cost, _min_cost_matching(cost)))
+    bound = max(cost.min(axis=0).max(), cost.min(axis=1).max())
+    if _has_perfect_matching(cost <= bound):
+        return float(bound)
+    levels = np.unique(cost[cost > bound])  # the last always matches
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_perfect_matching(cost <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])
 
 
-def _min_cost_matching(cost):
-    """Column assigned to each row of a square cost list at minimum total cost.
+def _has_perfect_matching(adjacent):
+    """Whether every row of a square boolean matrix can take its own column
+    among those it is adjacent to (augmenting paths, Kuhn 1955)."""
+    columns = [[] for _ in adjacent]
+    for i, j in np.argwhere(adjacent).tolist():
+        columns[i].append(j)
+    row4col = [-1] * len(columns)
 
-    One shortest augmenting path per row with dual potentials ``u``, ``v``.
-    The scan order of the columns, the tie rule and every floating-point
-    expression follow scipy's implementation, which fixes the pairing among
-    equal-cost optima.
-    """
-    n = len(cost)
-    u = [0.0] * n
-    v = [0.0] * n
-    path = [-1] * n
-    col4row = [-1] * n
-    row4col = [-1] * n
-    for cur_row in range(n):
-        shortest = [math.inf] * n
-        # reverse order makes a constant cost matrix give the identity
-        remaining = list(range(n - 1, -1, -1))
-        rows_seen = []
-        cols_seen = []
-        min_val = 0.0
-        i = cur_row
-        sink = -1
-        while sink == -1:
-            rows_seen.append(i)
-            row, u_i = cost[i], u[i]
-            index, lowest = -1, math.inf
-            for it, j in enumerate(remaining):
-                r = min_val + row[j] - u_i - v[j]
-                if r < shortest[j]:
-                    path[j] = i
-                    shortest[j] = r
-                # among equal minima prefer a free column: it ends the path
-                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
-                    lowest = shortest[j]
-                    index = it
-            min_val = lowest
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-            cols_seen.append(j)
-            # drop the column by moving the last one into its slot
-            remaining[index] = remaining[-1]
-            remaining.pop()
+    def augment(i, seen):
+        for j in columns[i]:
+            if j not in seen:
+                seen.add(j)
+                if row4col[j] == -1 or augment(row4col[j], seen):
+                    row4col[j] = i
+                    return True
+        return False
 
-        u[cur_row] += min_val
-        for i in rows_seen:
-            if i != cur_row:
-                u[i] += min_val - shortest[col4row[i]]
-        for j in cols_seen:
-            v[j] -= min_val - shortest[j]
-
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur_row:
-                break
-    return col4row
+    # a row that finds no augmenting path stays unmatched for good
+    return all(augment(i, set()) for i in range(len(columns)))

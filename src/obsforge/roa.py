@@ -30,7 +30,6 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .numerics import (
     is_hurwitz,
-    lambda_min_sym,
     solve_lyapunov,
     spectral_abscissa,
     spectral_norm,
@@ -517,10 +516,11 @@ def certify(closed_loop, design, obs, W1=None, W2=None, delta_fraction=DEFAULT_D
                            feasible=False, notes=notes)
 
     BL = B + obs.L
-    c1 = min(lambda_min_sym(W1), lambda_min_sym(W2)) / max(spectral_norm(P1), spectral_norm(P2))
+    eigvalsh = np.linalg.eigvalsh
+    c1 = float(min(eigvalsh(Y1)[0], eigvalsh(Y2)[0])) / max(spectral_norm(P1), spectral_norm(P2))
     # numpy scalars, so that an overflow or a division by zero below raises
     # FloatingPointError; the numbers it cuts short stay NaN
-    lmin1, lmin2 = np.float64(lambda_min_sym(P1)), np.float64(lambda_min_sym(P2))
+    lmin1, lmin2 = eigvalsh(P1)[0], eigvalsh(P2)[0]
     c3 = c4 = c2 = delta = level = math.nan
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -233,20 +233,26 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold=None):
 
 def _check_steps(dt, T, stride, T_field="T"):
     """The number of steps of size dt in [0, T]; bad dt, T or stride raise
-    ValidationError, naming T as ``T_field``."""
+    ValidationError, naming T as ``T_field``. T must be a whole number of
+    steps to 1e-9 relative, so a run never ends at a time it does not report."""
     if not 0 < dt < math.inf:
-        raise ValidationError("must be positive and finite", field="dt")
-    if not math.isfinite(T / dt):
+        raise ValidationError("must be positive and finite, got %r" % (dt,), field="dt")
+    steps = T / dt
+    if not math.isfinite(steps):
         raise ValidationError("horizon must span a finite number of steps", field=T_field)
     if T < dt:
         raise ValidationError("horizon must be at least one step", field=T_field)
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValidationError(
+            "must be a whole number of dt steps, got %r = %.12g * dt" % (T, steps), field=T_field
+        )
     try:
         positive = operator.index(stride) >= 1
     except TypeError:
         positive = False
     if not positive:
         raise ValidationError("must be a positive integer, got %r" % (stride,), field="stride")
-    return int(round(T / dt))
+    return int(round(steps))
 
 
 def integrate(closed_loop, design, obs, z0, zhat0, dt=DEFAULT_DT, T=DEFAULT_T, stride=1):

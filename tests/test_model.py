@@ -106,7 +106,8 @@ def test_qp_roundoff_dust_symmetrized():
 
 def test_qp_symmetry_tolerance_scales_with_entries():
     # an asymmetry of 9.3e-10 (4 ulps) between entries of 2e6 is float dust,
-    # as lambda_min_sym reads it: the tolerance scales with the largest entry
+    # as the certificate's weight check reads it: the tolerance scales with the
+    # largest entry
     Q = np.array([[1e6, 2000000.000000001], [2e6, 1e6]])
     assert Q[0, 1] != Q[1, 0]
     plant = model.PlantModel(A_p=-np.eye(2), B_p=np.ones((2, 1)), Q_p=Q)

@@ -1,3 +1,4 @@
+import itertools
 import struct
 import warnings
 
@@ -11,10 +12,8 @@ from obsforge import attack, model, numerics, observer, roa, sim
 from obsforge.errors import AssumptionError, NumericError, SynthesisError, ValidationError
 from obsforge.numerics import (
     TOL_RESIDUAL,
-    _min_cost_matching,
     eig,
     is_hurwitz,
-    lambda_min_sym,
     place_poles_dual,
     solve_lyapunov,
     spectral_abscissa,
@@ -95,6 +94,15 @@ def test_solve_lyapunov_rejects_solution_past_double_range():
     # S = Y / 0.5 = 2e308 overflows; its residual used to reach the SVD as NaN
     with pytest.raises(NumericError, match="not finite"):
         solve_lyapunov(-0.25 * np.eye(2), 1e308 * np.eye(2))
+
+
+def test_solve_lyapunov_solves_near_double_range(ref_design):
+    # the headline Fbar with Y = 1e308 I: the Kronecker solve used to
+    # overflow although the true solution stays inside double range
+    Fbar = ref_design.Fbar
+    S = solve_lyapunov(Fbar, 1e308 * np.eye(4))
+    assert np.abs(S).max() == pytest.approx(1.742e307, rel=1e-3)
+    assert np.allclose(S, 1e308 * solve_lyapunov(Fbar, np.eye(4)), rtol=1e-12, atol=0.0)
 
 
 def test_solve_lyapunov_unstable_rejected():
@@ -221,12 +229,6 @@ def test_spectral_norm_column_is_euclidean():
     assert spectral_norm(v) == pytest.approx(5.0)
 
 
-def test_lambda_min_sym_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        lambda_min_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    assert lambda_min_sym(np.diag([2.0, 5.0])) == pytest.approx(2.0)
-
-
 # ---------------------------------------------------------------------------
 # The kernels call LAPACK-backed numpy routines directly; these are the
 # generic-wrapper forms they replaced, kept as bit-identity references.
@@ -264,14 +266,6 @@ def ref_solve_lyapunov(A, Y):
     return S
 
 
-def ref_lambda_min_sym(M):
-    M = np.asarray(M, dtype=float)
-    scale = max(np.abs(M).max(), 1.0)
-    if not np.allclose(M, M.T, atol=1e-12 * scale, rtol=0.0):
-        raise ValueError("lambda_min_sym requires a symmetric matrix")
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
-
-
 def _hurwitz(rng, n):
     A = rng.standard_normal((n, n))
     return A - (np.max(np.linalg.eigvals(A).real) + rng.uniform(0.5, 2.0)) * np.eye(n)
@@ -295,36 +289,6 @@ def test_solve_lyapunov_equals_kron_operator_solve(n):
         M = rng.standard_normal((n, n))
         Y = M @ M.T + np.eye(n)
         assert np.array_equal(solve_lyapunov(A, Y), ref_solve_lyapunov(A, Y))
-
-
-def test_lambda_min_sym_symmetry_threshold_unchanged():
-    # a lone asymmetric pair just inside and just past the 1e-12 * scale bound
-    rng = np.random.default_rng(19)
-    M = rng.standard_normal((6, 6))
-    M = 4.0 * (M + M.T)
-    bound = 1e-12 * np.abs(M).max()
-    for factor in (0.0, 0.5, 0.999, 1.0, 1.001, 2.0):
-        P = M.copy()
-        P[1, 4] += factor * bound
-        try:
-            want = ref_lambda_min_sym(P)
-        except ValueError:
-            with pytest.raises(ValueError):
-                lambda_min_sym(P)
-        else:
-            assert np.array_equal(lambda_min_sym(P), want)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_lambda_min_sym_rejects_nonfinite(bad):
-    M = np.eye(3)
-    M[0, 0] = bad
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="finite"):
-            lambda_min_sym(M)
-        with pytest.raises(ValueError):
-            lambda_min_sym(np.full((2, 2), bad))
 
 
 def _bits(x):
@@ -355,7 +319,6 @@ def test_design_chain_bit_identical_to_reference_kernels(make_random_system, mon
         refs = {
             numerics.spectral_norm: ref_spectral_norm,
             numerics.solve_lyapunov: ref_solve_lyapunov,
-            numerics.lambda_min_sym: ref_lambda_min_sym,
         }
         for module in (numerics, attack, model, observer, roa, sim):
             for name, value in vars(module).copy().items():
@@ -395,19 +358,54 @@ def _conjugate_spectrum(rng, n):
     return np.concatenate([pairs, pairs.conj(), reals])
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_min_cost_matching_equals_scipy_assignment(n):
+def _brute_force_distance(got, target):
+    """min over pairings of the largest paired distance, by enumeration."""
+    n = got.shape[0]
+    cost = np.abs(got[:, None] - target[None, :])
+    pairings = np.array(list(itertools.permutations(range(n))))
+    return cost[np.arange(n), pairings].max(axis=1).min()
+
+
+def _random_spectrum(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_spectrum_distance_equals_brute_force_min(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(20):
         got = _conjugate_spectrum(rng, n)
         # a shuffled copy, shifted or not: many equal distances
         target = got[rng.permutation(n)] + rng.choice([0.0, 0.1, 0.5j])
-        spectral = np.abs(got[:, None] - target[None, :])
-        for cost in (rng.random((n, n)), rng.integers(0, 3, (n, n)).astype(float), spectral):
-            rows, cols = linear_sum_assignment(cost)
-            assert _min_cost_matching(cost.tolist()) == cols.tolist()
-        rows, cols = linear_sum_assignment(spectral)
-        assert spectrum_distance(got, target) == spectral[rows, cols].max()
+        assert spectrum_distance(got, target) == _brute_force_distance(got, target)
+        got, target = _random_spectrum(rng, n), _random_spectrum(rng, n)
+        assert spectrum_distance(got, target) == _brute_force_distance(got, target)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_spectrum_distance_equals_assignment_max_near_match(n):
+    # within half the spacing of the spectra both pairings match each pole
+    # with its own perturbed copy, up to swapping equal poles
+    rng = np.random.default_rng(200 + n)
+    for _ in range(20):
+        got = _conjugate_spectrum(rng, n)
+        target = got[rng.permutation(n)] + 1e-7 * _random_spectrum(rng, n)
+        cost = np.abs(got[:, None] - target[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert spectrum_distance(got, target) == cost[rows, cols].max()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_spectrum_distance_bounded_by_assignment_and_order_free(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(20):
+        got, target = _random_spectrum(rng, n), _random_spectrum(rng, n)
+        cost = np.abs(got[:, None] - target[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        dist = spectrum_distance(got, target)
+        assert dist <= cost[rows, cols].max()
+        assert spectrum_distance(got[rng.permutation(n)], target) == dist
+        assert spectrum_distance(got, target[rng.permutation(n)]) == dist
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])

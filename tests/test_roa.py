@@ -82,7 +82,9 @@ def test_certify_rejects_nonfinite_weight(cert_instance, name, bad):
 @pytest.mark.parametrize(
     "w1, w2, note",
     [
-        (1e308, 1.0, "Lyapunov solution is not finite"),  # used to raise LinAlgError
+        # used to raise LinAlgError, then to overflow inside the Lyapunov
+        # solve; P1 is finite, but lambda_min(P1) lambda_min(P2) overflows
+        (1e308, 1.0, "certificate constants leave double range"),
         (1.0, 1e300, "certificate constants leave double range"),  # OverflowError
         (1.0, 1e-250, "certificate constants leave double range"),  # ZeroDivisionError
         # lmin1**1.5 overflowed to inf, so c4 read 0 and the set global
@@ -700,6 +702,7 @@ def test_chunks_stay_in_process_without_a_safe_fork(monkeypatch, ref_system, ref
         (dict(horizon=math.inf), "horizon"),
         (dict(dt=0.0), "dt"),
         (dict(stride=0), "stride"),
+        (dict(dt=4e-4, horizon=1.0003), "horizon"),  # 2500.75 steps
     ],
 )
 def test_step_knobs_checked_before_any_chunk(monkeypatch, cert_instance, knobs, field):

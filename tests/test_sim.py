@@ -402,6 +402,7 @@ def test_integrate_validates_inputs(ref_system, ref_design, ref_observer):
         ({"dt": np.inf}, "dt"),
         ({"dt": np.nan}, "dt"),
         ({"dt": 1e-300, "T": 1e300}, "T"),
+        ({"dt": 4e-4, "T": 1.0003}, "T"),  # 2500.75 steps: used to end at 1.0004
     ],
 )
 def test_step_checks_name_the_bad_knob(ref_system, ref_design, ref_observer, knobs, field):
