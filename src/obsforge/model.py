@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import TOL_HURWITZ, eig, spectral_abscissa, spectral_norm
+from .numerics import TOL_HURWITZ, _asymmetry_bound, eig, spectral_abscissa, spectral_norm
 from .report import Reported, read_json
 
 __all__ = [
@@ -35,13 +35,6 @@ __all__ = [
 ]
 
 TOL_GAP = 1e-9
-TOL_SYM = 1e-12
-
-
-def _asymmetry_bound(M):
-    """TOL_SYM relative to the largest entry of M (absolute below 1), as in
-    the certificate's weight check."""
-    return TOL_SYM * max(1.0, np.abs(M).max())
 
 
 def _as_matrix(value, shape, field):

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .numerics import (
+    _asymmetry_bound,
     is_hurwitz,
     solve_lyapunov,
     spectral_abscissa,
@@ -85,7 +86,7 @@ def _weight(W, n, field):
         raise ValidationError("expected shape (%d, %d)" % (n, n), field=field)
     if not np.all(np.isfinite(W)):
         raise ValidationError("must have finite entries", field=field)
-    if np.abs(W - W.T).max() > 1e-12 * max(1.0, np.abs(W).max()):
+    if np.abs(W - W.T).max() > _asymmetry_bound(W):
         raise ValidationError("must be symmetric", field=field)
     if np.linalg.eigvalsh(W)[0] <= 0:
         raise ValidationError("must be positive definite", field=field)

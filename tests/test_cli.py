@@ -139,7 +139,8 @@ def test_cli_flow_does_not_import_scipy_optimize(tmp_path):
 
     Importing ``scipy.optimize`` costs 0.54-0.64 s per process on a 2-vCPU
     x86 host, several times all of ``obsforge.cli``, and ``scipy.signal``
-    1.2-1.3 s there.
+    1.2-1.3 s there. Nor does it load ``numpy.ma``, which the first
+    ``np.unique`` call in a process imports (about 9 ms and 1.9 MB there).
     """
     out = str(tmp_path / "out")
     bundle = os.path.join(out, "bundle.json")
@@ -152,7 +153,8 @@ def test_cli_flow_does_not_import_scipy_optimize(tmp_path):
             ["roa", "--bundle", bundle, "--horizon", "0.1", "--out", out],
             ["reproduce-paper", "--out", out],
         ],
-        "print(codes, [name for name in sys.modules if name.split('.')[0] == 'scipy'])",
+        "print(codes, [name for name in sys.modules"
+        " if name.split('.')[0] == 'scipy' or name.split('.')[:2] == ['numpy', 'ma']])",
     ])
     proc = _run_clean(["-c", script])
     assert proc.returncode == 0, proc.stderr

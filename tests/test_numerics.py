@@ -11,7 +11,6 @@ from scipy.optimize import linear_sum_assignment
 from obsforge import attack, model, numerics, observer, roa, sim
 from obsforge.errors import AssumptionError, NumericError, SynthesisError, ValidationError
 from obsforge.numerics import (
-    TOL_RESIDUAL,
     eig,
     is_hurwitz,
     place_poles_dual,
@@ -230,8 +229,10 @@ def test_spectral_norm_column_is_euclidean():
 
 
 # ---------------------------------------------------------------------------
-# The kernels call LAPACK-backed numpy routines directly; these are the
-# generic-wrapper forms they replaced, kept as bit-identity references.
+# The kernels call LAPACK-backed numpy routines directly and screen their
+# tolerance checks with cheap bounds; these are the generic-wrapper,
+# unscreened forms they replaced, kept as bit-identity references. They read
+# numerics.TOL_RESIDUAL at call time, so a test can move the threshold.
 
 
 def ref_spectral_norm(M):
@@ -241,29 +242,120 @@ def ref_spectral_norm(M):
     return float(np.linalg.norm(M, 2))
 
 
+def ref_eig(M):
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("eig expects a square matrix, got shape %s" % (M.shape,))
+    if not np.all(np.isfinite(M)):
+        raise ValueError("eig expects finite entries")
+    try:
+        values, vectors = np.linalg.eig(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("eigendecomposition failed to converge: %s" % exc) from exc
+    order = np.lexsort((-values.imag, np.abs(values.imag), values.real))
+    values = values[order]
+    vectors = vectors[:, order]
+    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
+    scale = ref_spectral_norm(M)
+    resid = np.linalg.norm(M @ vectors - vectors * values, axis=0)
+    if np.any(resid > numerics.TOL_RESIDUAL * max(scale, 1e-300)):
+        raise NumericError(
+            "eigenpair residual %.3e exceeds %.1e * ||M|| (cond(V)=%.3e)"
+            % (resid.max(), numerics.TOL_RESIDUAL, np.linalg.cond(vectors))
+        )
+    return numerics.EigenPairs(values=values, vectors=vectors)
+
+
 def ref_solve_lyapunov(A, Y):
     A = np.asarray(A, dtype=float)
     Y = np.asarray(Y, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or Y.shape != (n, n):
         raise ValueError("shape mismatch: A %s vs Y %s" % (A.shape, Y.shape))
+    k = np.frexp(np.abs(Y).max())[1]
+    Y = np.ldexp(Y, -k)
     I = np.eye(n)
     K = np.kron(I, A.T) + np.kron(A.T, I)
     try:
         vecS = np.linalg.solve(K, -Y.reshape(n * n, order="F"))
     except np.linalg.LinAlgError as exc:
-        raise NumericError("Lyapunov system is singular: %s" % exc) from exc
+        raise NumericError(
+            "Lyapunov system is singular (A has eigenvalue pairs summing to "
+            "zero, e.g. A not Hurwitz): %s" % exc
+        ) from exc
     S = vecS.reshape((n, n), order="F")
     S = 0.5 * (S + S.T)
-    resid = ref_spectral_norm(A.T @ S + S @ A + Y)
-    if resid > TOL_RESIDUAL * ref_spectral_norm(Y):
-        raise NumericError("Lyapunov residual %.3e exceeds %.1e * ||Y||" % (resid, TOL_RESIDUAL))
+    with np.errstate(over="ignore"):
+        unscaled = np.ldexp(S, k)
+        if not np.all(np.isfinite(unscaled)):
+            raise NumericError("Lyapunov solution is not finite (it leaves double range)")
+        resid = ref_spectral_norm(A.T @ S + S @ A + Y)
+        if resid > numerics.TOL_RESIDUAL * ref_spectral_norm(Y):
+            raise NumericError(
+                "Lyapunov residual %.3e exceeds %.1e * ||Y||"
+                % (np.ldexp(resid, k), numerics.TOL_RESIDUAL)
+            )
     if np.any(np.linalg.eigvalsh(S) <= 0):
         raise NumericError(
             "Lyapunov solution is not positive definite "
-            "(lambda_min = %.3e); is A Hurwitz?" % np.linalg.eigvalsh(S).min()
+            "(lambda_min = %.3e); is A Hurwitz?" % np.ldexp(np.linalg.eigvalsh(S).min(), k)
         )
-    return S
+    return unscaled
+
+
+def ref_place_poles_dual(F, Hrow, desired):
+    F = np.asarray(F, dtype=float)
+    Hrow = np.atleast_2d(np.asarray(Hrow, dtype=float))
+    n = F.shape[0]
+    desired = np.asarray(desired, dtype=complex)
+    if desired.shape != (n,):
+        raise ValueError("need exactly n=%d target eigenvalues" % n)
+    coeffs = np.poly(desired)
+    if np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs))):
+        raise ValueError("desired spectrum is not closed under conjugation")
+    p = np.sort(desired)
+    M = np.concatenate(
+        [p[:, None, None] * np.eye(n) - F, np.broadcast_to(-Hrow, (n, 1, n))], axis=1
+    )
+    rows = np.linalg.qr(M, mode="complete")[0][:, :, -1].conj()
+    for i in range(1, n):
+        if p[i] == p[i - 1]:
+            rows[i] = np.linalg.lstsq(M[i].T, -rows[i - 1, :n], rcond=None)[0]
+    V, s = rows[:, :n], rows[:, n]
+    sv = np.linalg.svd(V, compute_uv=False)
+    if sv[-1] <= n * np.finfo(float).eps * sv[0]:
+        raise NumericError(
+            "(F, Hrow) is unobservable: the pencil rows at the targets are "
+            "singular (singular values %s)" % np.array2string(sv, precision=3)
+        )
+    Lcol = np.linalg.solve(V, s).real.reshape(n, 1)
+    if not np.all(np.isfinite(Lcol)):
+        raise NumericError(
+            "the placement gain is not finite (largest |Hrow| entry %.3e)" % np.abs(Hrow).max()
+        )
+    return Lcol
+
+
+def ref_spectrum_distance(got, target):
+    got = np.asarray(got, dtype=complex)
+    target = np.asarray(target, dtype=complex)
+    if got.shape != target.shape:
+        raise ValueError("spectra differ in size: %d vs %d" % (got.size, target.size))
+    cost = np.abs(got[:, None] - target[None, :])
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("spectra have non-finite entries or distances")
+    bound = max(cost.min(axis=0).max(), cost.min(axis=1).max())
+    if numerics._has_perfect_matching(cost <= bound):
+        return float(bound)
+    levels = np.unique(cost[cost > bound])
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if numerics._has_perfect_matching(cost <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])
 
 
 def _hurwitz(rng, n):
@@ -318,7 +410,10 @@ def test_design_chain_bit_identical_to_reference_kernels(make_random_system, mon
         shipped = [_chain(*system, seed=i) for n, i, system in draws]
         refs = {
             numerics.spectral_norm: ref_spectral_norm,
+            numerics.eig: ref_eig,
             numerics.solve_lyapunov: ref_solve_lyapunov,
+            numerics.place_poles_dual: ref_place_poles_dual,
+            numerics.spectrum_distance: ref_spectrum_distance,
         }
         for module in (numerics, attack, model, observer, roa, sim):
             for name, value in vars(module).copy().items():
@@ -329,6 +424,172 @@ def test_design_chain_bit_identical_to_reference_kernels(make_random_system, mon
     # the fingerprint must come from finished chains, not only from errors
     finished = [n for (n, _, _), out in zip(draws, shipped) if isinstance(out, list)]
     assert {4, 8} <= set(finished)
+
+
+def _outcome(fn, *args):
+    """fn's result as dtype, shape and bytes of every array, or its error and text."""
+    try:
+        out = fn(*args)
+    except (NumericError, ValueError) as exc:
+        return type(exc), str(exc)
+    arrays = (out.values, out.vectors) if isinstance(out, numerics.EigenPairs) else (out,)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_screened_kernels_equal_reference_kernels(n, scale):
+    # values, error types and error texts, on passing and on failing inputs
+    rng = np.random.default_rng([21, n])  # the same draws at every scale
+    for _ in range(3):
+        M = rng.standard_normal((n, n))
+        A = _hurwitz(rng, n)
+        G = rng.standard_normal((n, n))
+        Y = G @ G.T + np.eye(n)
+        k = n // 2
+        pairs = rng.standard_normal(k) - 1.0 + 1j * rng.uniform(0.1, 2.0, k)
+        targets = np.concatenate([pairs, pairs.conj(), -rng.uniform(0.5, 3.0, n - 2 * k)])
+        targets = targets[rng.permutation(n)]
+        H = rng.standard_normal((1, n))
+        # closed under conjugation to 1e-13 passes, to 1e-5 does not
+        near, far = (targets + d * 1j * _random_spectrum(rng, n) for d in (1e-13, 1e-5))
+        matched = targets + 1e-7 * _random_spectrum(rng, n)
+        other, shuffled = _random_spectrum(rng, n), targets[rng.permutation(n)]
+        cases = [
+            (eig, ref_eig, scale * M),
+            (eig, ref_eig, scale * np.ones((n, n))),
+            (eig, ref_eig, np.full((n, n), np.nan)),
+            (solve_lyapunov, ref_solve_lyapunov, A, scale * Y),
+            (solve_lyapunov, ref_solve_lyapunov, scale * A, Y),
+            (solve_lyapunov, ref_solve_lyapunov, -A, scale * Y),  # not positive definite
+            # singular (n >= 2), and a solution past double range
+            (solve_lyapunov, ref_solve_lyapunov, np.diag(np.resize([scale, -scale], n)), Y),
+            (solve_lyapunov, ref_solve_lyapunov, -1.0 / np.finfo(float).max * np.eye(n), Y),
+            (place_poles_dual, ref_place_poles_dual, scale * M, H, scale * targets),
+            (place_poles_dual, ref_place_poles_dual, M, H, near),
+            (place_poles_dual, ref_place_poles_dual, M, H, far),
+            (place_poles_dual, ref_place_poles_dual, M, np.zeros((1, n)), targets),  # unobservable
+            (spectrum_distance, ref_spectrum_distance, scale * targets, scale * matched),
+            (spectrum_distance, ref_spectrum_distance, scale * other, scale * targets),
+            (spectrum_distance, ref_spectrum_distance, scale * targets, scale * shuffled),
+        ]
+        for fn, ref, *args in cases:
+            assert _outcome(fn, *args) == _outcome(ref, *args), (fn.__name__, args)
+
+
+def _spy(monkeypatch, module, name):
+    """Count the calls of module.name; the counter is the returned list."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_eig_exact_residual_check_behind_the_screen(n, monkeypatch):
+    # ||M||_2 is about n times max|M_ij| here: a tolerance between the two
+    # bounds fails the screen, and the SVD must then decide as before
+    rng = np.random.default_rng([22, n])
+    M = np.ones((n, n)) + 1e-3 * rng.standard_normal((n, n))
+    pairs = eig(M)
+    resid = np.linalg.norm(M @ pairs.vectors - pairs.vectors * pairs.values, axis=0).max()
+    entry, norm = np.abs(M).max(), spectral_norm(M)
+    assert 0 < resid and 1.5 * entry < norm
+    calls = _spy(monkeypatch, numerics, "spectral_norm")
+    for tol in (resid / np.sqrt(entry * norm), resid / (2 * norm)):  # exact pass, exact fail
+        monkeypatch.setattr(numerics, "TOL_RESIDUAL", tol)
+        calls.clear()
+        got = _outcome(eig, M)
+        assert got == _outcome(ref_eig, M)
+        assert len(calls) == 1
+    assert got[0] is NumericError
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_solve_lyapunov_exact_residual_check_behind_the_screen(n, monkeypatch):
+    # ||Y||_2 = n + 1 against max|Y_ij| = 2, and ||R||_F >= ||R||_2
+    rng = np.random.default_rng([23, n])
+    A = _hurwitz(rng, n)
+    Y = np.ones((n, n)) + np.eye(n)
+    S = solve_lyapunov(A, Y)
+    R = A.T @ S + S @ A + Y
+    exact, screen = spectral_norm(R) / spectral_norm(Y), np.linalg.norm(R) / np.abs(Y).max()
+    assert 0 < exact and 1.5 * exact < screen
+    calls = _spy(monkeypatch, numerics, "spectral_norm")
+    for tol in (np.sqrt(exact * screen), exact / 2):  # exact pass, exact fail
+        monkeypatch.setattr(numerics, "TOL_RESIDUAL", tol)
+        calls.clear()
+        got = _outcome(solve_lyapunov, A, Y)
+        assert got == _outcome(ref_solve_lyapunov, A, Y)
+        assert len(calls) == 2
+    assert got[0] is NumericError and "Lyapunov residual" in got[1]
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_solve_lyapunov_screen_bounds_the_residual_by_its_frobenius_norm(n, monkeypatch):
+    # with Y = I, a tolerance between max|R_ij| and ||R||_2 fails the exact
+    # check, so a screen that read R's largest entry would wrongly pass it
+    rng = np.random.default_rng([28, n])
+    A, Y = _hurwitz(rng, n), np.eye(n)
+    S = solve_lyapunov(A, Y)
+    R = A.T @ S + S @ A + Y
+    entry, norm = np.abs(R).max(), spectral_norm(R)
+    assert 0 < entry and 1.1 * entry < norm
+    monkeypatch.setattr(numerics, "TOL_RESIDUAL", np.sqrt(entry * norm))
+    got = _outcome(solve_lyapunov, A, Y)
+    assert got == _outcome(ref_solve_lyapunov, A, Y)
+    assert got[0] is NumericError
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the screen should have decided")
+
+
+def test_residual_screens_spare_the_svd(monkeypatch):
+    rng = np.random.default_rng(24)
+    draws = []
+    for n in range(1, 17):
+        M, A = rng.standard_normal((n, n)), _hurwitz(rng, n)
+        G = rng.standard_normal((n, n))
+        Y = G @ G.T + np.eye(n)
+        draws.append((M, A, Y, _outcome(eig, M), _outcome(solve_lyapunov, A, Y)))
+    monkeypatch.setattr(numerics, "spectral_norm", _raise)
+    for M, A, Y, want_eig, want_lyap in draws:
+        assert _outcome(eig, M) == want_eig
+        assert _outcome(solve_lyapunov, A, Y) == want_lyap
+
+
+def test_conjugate_closed_targets_skip_np_poly(monkeypatch):
+    rng = np.random.default_rng(25)
+    F, H = rng.standard_normal((5, 5)), rng.standard_normal((1, 5))
+    targets = np.array([-1.5 + 1.0j, -2.0, -1.5 - 1.0j, -3.0 - 0.5j, -3.0 + 0.5j])
+    want = place_poles_dual(F, H, targets)
+    monkeypatch.setattr(np, "poly", _raise)
+    assert np.array_equal(place_poles_dual(F, H, targets), want)
+
+
+def test_nearly_conjugate_closed_targets_go_through_np_poly(monkeypatch):
+    rng = np.random.default_rng(26)
+    F, H = rng.standard_normal((5, 5)), rng.standard_normal((1, 5))
+    targets = np.array([-1.5 + 1.0j, -2.0, -1.5 - (1.0 + 1e-13) * 1j, -3.0, -4.0])
+    calls = _spy(monkeypatch, np, "poly")
+    L = place_poles_dual(F, H, targets)
+    assert len(calls) == 1
+    assert spectrum_distance(np.linalg.eigvals(F + L @ H), targets) < 1e-6
+
+
+def test_distinct_nearest_partners_skip_the_matching_search(monkeypatch):
+    rng = np.random.default_rng(27)
+    got = _conjugate_spectrum(rng, 7) + 1e-3 * np.arange(7)
+    target = got[rng.permutation(7)] + 1e-7 * _random_spectrum(rng, 7)
+    cost = np.abs(got[:, None] - target[None, :])
+    assert np.unique(cost.argmin(axis=1)).size == 7
+    monkeypatch.setattr(numerics, "_has_perfect_matching", _raise)
+    assert spectrum_distance(got, target) == _brute_force_distance(got, target)
 
 
 def test_hurwitz_and_abscissa():
