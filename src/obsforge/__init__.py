@@ -8,6 +8,12 @@ scales it to keep the closed loop stable (stealthy), builds a Luenberger
 observer on the attacked model, certifies a region of attraction for the
 coupled plant/estimator dynamics, and simulates the whole loop.
 
+``import obsforge`` loads this file and ``errors`` only, not numpy. Each
+submodule and each public name of a layer loads on first use, e.g.
+``obsforge.certify`` imports ``roa`` and what it needs; ``from obsforge
+import *`` loads them all. Nothing here imports ``logging``: the CLI does,
+only when OBS_FORGE_LOG asks for info or debug lines.
+
 Modules
 -------
 model      plant/controller containers, closed-loop assembly, assumptions
@@ -18,33 +24,71 @@ sim        fixed-step integration, decay fits, CSV/plot emission
 numerics   eigen/Lyapunov/placement primitives shared by the above
 errors     exception taxonomy the CLI maps onto exit codes
 refcase    bundled fourth-order benchmark with frozen expected values
-report     the one conversion of results to report JSON
+report     the one conversion of results to report JSON, run metadata
 cli        obs-forge command-line front end
 """
 
-from . import attack, errors, model, numerics, observer, refcase, roa, sim
-from .attack import *  # noqa: F401,F403 -- each module's __all__ is its API
-from .errors import *  # noqa: F401,F403
-from .model import *  # noqa: F401,F403
-from .observer import *  # noqa: F401,F403
-from .roa import *  # noqa: F401,F403
-from .sim import *  # noqa: F401,F403
+import sys
+
+from . import errors
+from .errors import *  # noqa: F401,F403 -- errors.__all__ is its API
 
 __version__ = "0.1.0"
 
+_SUBMODULES = ("attack", "cli", "model", "numerics", "observer", "refcase", "report", "roa", "sim")
+
+# each public name of a layer -> the module that defines it; a layer's names
+# are its __all__, in order
+_HOME = {
+    name: module
+    for module, names in (
+        ("attack", (
+            "ForbiddenSubspace", "ForbiddenSet", "AttackDesign", "ObservabilityResult",
+            "forbidden_set", "is_observable", "choose_pi_star", "gamma_max",
+            "build_design", "attack_signal",
+        )),
+        ("model", (
+            "PlantModel", "ControllerModel", "ClosedLoop", "AssumptionReport",
+            "assemble", "validate_assumptions", "load_system", "system_from_dict",
+        )),
+        ("observer", (
+            "ObserverDesign", "AugmentedJacobian", "CoupledField", "default_poles",
+            "design_gain", "gain_from_vector", "plant_rhs", "observer_rhs",
+            "error_rhs", "augmented_jacobian", "coupled_field",
+        )),
+        ("roa", (
+            "RoaEstimate", "DecayReport", "BoxReport", "verify_decay",
+            "monte_carlo_box_check", "certify",
+        )),
+        ("sim", (
+            "Trajectory", "DecayFit", "integrate", "integrate_batch", "fit_decay",
+            "trajectory_to_csv", "write_gnuplot_stub",
+        )),
+    )
+    for name in names
+}
+
 __all__ = [
     "attack", "cli", "model", "numerics", "observer", "refcase", "roa", "sim",
-    *attack.__all__, *errors.__all__, *model.__all__,
-    *observer.__all__, *roa.__all__, *sim.__all__,
+    *errors.__all__, *_HOME,
     "__version__",
 ]
 
 
 def __getattr__(name):
-    # cli is imported on first access, never by ``import obsforge``, so that
+    # cli too loads only here, never by ``import obsforge``, so that
     # ``python -m obsforge.cli`` does not find it already imported
-    if name == "cli":
-        import importlib
+    home = name if name in _SUBMODULES else _HOME.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    path = "%s.%s" % (__name__, home)
+    __import__(path)  # the interpreter's own import, not importlib's: -X importtime lists it
+    module = sys.modules[path]
+    if home == name:
+        return module
+    value = globals()[name] = getattr(module, name)  # later lookups skip this function
+    return value
 
-        return importlib.import_module(".cli", __name__)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

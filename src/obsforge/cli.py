@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -26,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import attack, model, observer, refcase, roa, sim
+# every subcommand runs these; the other layers load where a subcommand runs them
+from . import model, refcase, sim
 from .errors import (
     AssumptionError,
     DivergenceError,
@@ -34,11 +34,9 @@ from .errors import (
     SynthesisError,
     ValidationError,
 )
-from .report import jsonable, read_json
+from .report import _log, _usable_cpus, jsonable, read_json
 
 __all__ = ["RunConfig", "main"]
-
-log = logging.getLogger("obsforge")
 
 EXIT_OK = 0
 EXIT_ASSUMPTION = 1
@@ -170,7 +168,7 @@ def config_from_args(args):
 
 def _load_system(config):
     if config.config is None:
-        log.info("no --config given, using the bundled reference system")
+        _log("obsforge", "info", "no --config given, using the bundled reference system")
         return refcase.reference_system()
     plant, controller = model.load_system(config.config)
     return plant, controller, model.assemble(plant, controller)
@@ -180,7 +178,7 @@ def _write_json(path, payload):
     text = json.dumps(jsonable(payload), indent=2, sort_keys=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")
-    log.info("wrote %s", path)
+    _log("obsforge", "info", "wrote %s", path)
 
 
 def _write_meta(config, argv):
@@ -193,7 +191,7 @@ def _write_meta(config, argv):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "seed": config.seed,
         # the Monte Carlo checks run one sample chunk per usable CPU
-        "usable_cpus": roa._usable_cpus(),
+        "usable_cpus": _usable_cpus(),
     }
     _write_json(os.path.join(config.out, "run_meta.json"), meta)
 
@@ -207,6 +205,8 @@ BUNDLE_REL_TOL = 1e-9
 
 def _design_pipeline(config, cl):
     """Shared synthesis chain: attack row, observer gain, certificate."""
+    from . import attack, observer, roa
+
     design = attack.build_design(
         cl,
         pi_star=np.array(config.pi, dtype=float) if config.pi else None,
@@ -484,6 +484,8 @@ def cmd_simulate(config):
 
 
 def cmd_roa(config):
+    from . import roa
+
     _, _, cl, design, obs, est = _design_for_run(config)
     box = roa.monte_carlo_box_check(
         cl, design, obs, horizon=config.horizon, seed=config.seed, dt=config.dt
@@ -557,15 +559,17 @@ _COMMANDS = {
 
 def _setup_logging():
     level_name = os.environ.get("OBS_FORGE_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level_name not in levels:
+    if level_name not in ("error", "info", "debug"):
         raise ValidationError(
             "must be one of error, info, debug; got %r" % level_name,
             field="OBS_FORGE_LOG",
         )
-    logging.basicConfig(
-        level=levels[level_name], format="%(levelname)s %(name)s: %(message)s"
-    )
+    if level_name != "error":  # obsforge writes only info and debug lines
+        import logging
+
+        logging.basicConfig(
+            level=level_name.upper(), format="%(levelname)s %(name)s: %(message)s"
+        )
 
 
 def main(argv=None) -> int:

@@ -308,7 +308,9 @@ def spectrum_distance(got, target):
     # rows whose nearest partners all differ are a matching within the bound
     if np.bincount(cost.argmin(axis=1)).max() == 1 or _has_perfect_matching(cost <= bound):
         return float(bound)
-    levels = np.unique(cost[cost > bound])  # the last always matches
+    # the last always matches; a repeated level leaves the least one as it is,
+    # and np.unique would import numpy.ma on its first call in a process
+    levels = np.sort(cost[cost > bound])
     lo, hi = 0, len(levels) - 1
     while lo < hi:
         mid = (lo + hi) // 2

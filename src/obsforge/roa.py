@@ -36,7 +36,7 @@ from .numerics import (
     spectral_norm,
 )
 from .observer import coupled_field
-from .report import Reported
+from .report import Reported, _log, _usable_cpus
 from .sim import _check_steps, integrate_batch
 
 __all__ = [
@@ -125,19 +125,15 @@ def _seeded_rows(seed, n_samples, width, draw, start=0):
     drawn row is independent of how many are drawn, of the chunk it is drawn
     in and of scheduling. So are the states integrated from it, as long as
     the chunks are cut at multiples of 8 samples (see :func:`_chunk_bounds`).
+    The generators are built as ``default_rng`` builds them, minus its
+    argument checks; numpy.random is imported here, on first use.
     """
+    from numpy.random import PCG64, Generator, SeedSequence
+
     rows = np.empty((n_samples, width))
     for j in range(n_samples):
-        rows[j] = draw(np.random.default_rng((seed, start + j)))
+        rows[j] = draw(Generator(PCG64(SeedSequence((seed, start + j)))))
     return rows
-
-
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _chunk_bounds(n_samples):
@@ -186,10 +182,8 @@ def _run_chunks(run, n_samples, name):
     naming its chunk. Every child is reaped before this returns or raises;
     on an error the ones still running are killed first.
     """
-    import logging  # here, so that importing obsforge does not load it
-
     bounds = _chunk_bounds(n_samples)
-    logging.getLogger(__name__).debug("%s: sample chunks %s", name, bounds)
+    _log(__name__, "debug", "%s: sample chunks %s", name, bounds)
     if len(bounds) == 2:
         return run(0, n_samples)
     children = {}  # pid -> (read end, (lo, hi)), for every child not reaped yet

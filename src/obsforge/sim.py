@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .observer import coupled_field
 from .report import Reported
 
 __all__ = [
@@ -144,14 +143,17 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold=None):
     Takes S0 as (n_samples, 2n) rows and steps them component-major, one
     state per column, in the buffer X = [S; W1; W2; W3; W4] of the states
     and the squared factor rows of the four stages. A step is three
-    ``np.dot`` products with the stage maps of :func:`_stage_maps`, each
-    written straight into its W_j rows of X and squared there, then one
-    product with the step map, which gives the state's increment and the
-    next state's factor rows together; their squares are the next W1.
+    products with the stage maps of :func:`_stage_maps`, each written
+    straight into its W_j rows of X and squared there, then one product
+    with the step map, which gives the state's increment and the next
+    state's factor rows together; their squares are the next W1. The
+    products are the maps' bound ``ndarray.dot`` methods: the BLAS routine
+    of ``np.dot`` on the same operands, without numpy's function dispatch.
 
-    Divergence is screened once a step by the sum of squares of all of S:
-    if it is at most (norm_limit / 2)**2, clamped to the largest double, no
-    column's norm can pass the limit, and NaN or inf fail the comparison.
+    Divergence is screened once a step by the sum of squares of all of S,
+    the ``dot`` of S's flat view with itself: if it is at most
+    (norm_limit / 2)**2, clamped to the largest double, no column's norm
+    can pass the limit, and NaN or inf fail the comparison.
     Only a failed screen computes the per-column norms that decide which
     samples blew up, so the screen changes no blow-up time and no record.
     Those norms are scaled (``np.hypot.reduce``), so a column counts as
@@ -199,25 +201,27 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold=None):
     X2, X3, X4 = (X[: M.shape[1]] for M in (M2, M3, M4))
     G = np.empty((w + r, m))  # [D X; C S']
     D, CS = G[:w], G[w:]
-    dot, square, vdot = np.dot, np.square, np.vdot
+    flat = X.reshape(-1)[: w * m]  # S as one row, for the screen's sum of squares
+    dot2, dot3, dot4, dot_step, sumsq = M2.dot, M3.dot, M4.dot, step.dot, flat.dot
+    square = np.square
 
     S[:] = S0.T
     fold(0, S)
     with np.errstate(over="ignore", invalid="ignore"):
-        dot(field.C, S, out=W1)
+        field.C.dot(S, out=W1)
         square(W1, out=W1)
         for k in range(1, n_steps + 1):
-            dot(M2, X2, out=W2)
+            dot2(X2, out=W2)
             square(W2, out=W2)
-            dot(M3, X3, out=W3)
+            dot3(X3, out=W3)
             square(W3, out=W3)
-            dot(M4, X4, out=W4)
+            dot4(X4, out=W4)
             square(W4, out=W4)
-            dot(step, X, out=G)
+            dot_step(X, out=G)
             S += D
             square(CS, out=W1)
 
-            if not vdot(S, S) <= safe:
+            if not sumsq(flat) <= safe:
                 norms = np.hypot.reduce(S, axis=0)  # no square to overflow
                 bad = ~(norms <= norm_limit)  # catches inf and NaN too
                 if bad.any():
@@ -269,6 +273,9 @@ def integrate(closed_loop, design, obs, z0, zhat0, dt=DEFAULT_DT, T=DEFAULT_T, s
             "initial states must have length %d" % n, field="z0/zhat0"
         )
     n_steps = _check_steps(dt, T, stride)
+    # imported here: the CLI loads sim for _check_steps alone, and so not observer
+    from .observer import coupled_field
+
     field = coupled_field(closed_loop, design, obs)
     S0 = np.concatenate([z0, zhat0])[None, :]
     times, states, blowup = _rk4_batch(field, S0, dt, n_steps, stride, NORM_LIMIT)
@@ -331,6 +338,8 @@ def integrate_batch(
     n_steps = _check_steps(dt, T, stride)
     if not norm_limit > 0:  # the screen squares the limit, which would lose its sign
         raise ValidationError("must be positive, got %r" % (norm_limit,), field="norm_limit")
+    from .observer import coupled_field
+
     field = coupled_field(closed_loop, design, obs)
     S0 = np.concatenate([Z0, Zh0], axis=1)
     times, states, blowup = _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold)

@@ -111,6 +111,60 @@ def test_every_public_name_resolves_after_plain_import():
     assert proc.stdout.strip() == "[]"
 
 
+def test_plain_import_loads_no_layer():
+    # the layers and numpy load on first use of a name, not with the package
+    code = (
+        "import sys, obsforge\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('obsforge.')))"
+    )
+    proc = _run_clean(["-W", "error", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == ["obsforge.errors"]
+
+
+def test_lazy_name_table_is_each_layers_api():
+    # the package names a layer's public names without importing the layer,
+    # so this holds the written-out table to each module's __all__
+    layers = {"attack", "model", "observer", "roa", "sim"}
+    assert set(obsforge._HOME.values()) == layers
+    for layer in layers:
+        listed = [name for name, home in obsforge._HOME.items() if home == layer]
+        assert listed == getattr(obsforge, layer).__all__, layer
+
+
+def _cli_process(argv):
+    """(process, names in sys.modules at its exit) of a fresh interpreter
+    that runs ``python -m obsforge.cli`` on argv."""
+    code = (
+        "import runpy, sys\n"
+        "sys.argv[1:] = %r\n"
+        "try:\n"
+        "    runpy.run_module('obsforge.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print(sorted(sys.modules))\n" % argv
+    )
+    proc = _run_clean(["-W", "error", "-c", code])
+    return proc, set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def test_validate_loads_only_its_layers(tmp_path, monkeypatch):
+    monkeypatch.delenv("OBS_FORGE_LOG", raising=False)
+    proc, loaded = _cli_process(["validate", "--out", str(tmp_path / "o")])
+    assert proc.returncode == 0, proc.stderr
+    assert {"obsforge.model", "obsforge.refcase", "obsforge.sim"} <= loaded
+    assert not {"obsforge.attack", "obsforge.observer", "obsforge.roa", "logging"} & loaded
+
+
+def test_logging_loads_only_when_lines_are_asked_for(tmp_path, monkeypatch):
+    argv = ["validate", "--out", str(tmp_path / "o")]
+    for level, loads in (("error", False), ("info", True), ("debug", True)):
+        monkeypatch.setenv("OBS_FORGE_LOG", level)
+        proc, loaded = _cli_process(argv)
+        assert proc.returncode == 0, proc.stderr
+        assert ("logging" in loaded) == loads, level
+        assert ("INFO obsforge: wrote " in proc.stderr) == loads, level
+
+
 def test_public_api_is_pinned():
     assert len(obsforge.__all__) == len(PUBLIC_API) == 57
     assert set(obsforge.__all__) == PUBLIC_API
@@ -134,14 +188,16 @@ def test_wildcard_import_binds_the_public_api():
     assert set(ast.literal_eval(proc.stdout)) == PUBLIC_API
 
 
-def test_cli_flow_does_not_import_scipy_optimize(tmp_path):
+def test_cli_flow_does_not_import_scipy_optimize(tmp_path, monkeypatch):
     """The CLI flow runs on numpy alone and loads no scipy module.
 
     Importing ``scipy.optimize`` costs 0.54-0.64 s per process on a 2-vCPU
     x86 host, several times all of ``obsforge.cli``, and ``scipy.signal``
     1.2-1.3 s there. Nor does it load ``numpy.ma``, which the first
-    ``np.unique`` call in a process imports (about 9 ms and 1.9 MB there).
+    ``np.unique`` call in a process imports (about 9 ms and 1.9 MB there),
+    or ``logging`` (about 5 ms there) without OBS_FORGE_LOG.
     """
+    monkeypatch.delenv("OBS_FORGE_LOG", raising=False)
     out = str(tmp_path / "out")
     bundle = os.path.join(out, "bundle.json")
     script = "\n".join([
@@ -154,7 +210,8 @@ def test_cli_flow_does_not_import_scipy_optimize(tmp_path):
             ["reproduce-paper", "--out", out],
         ],
         "print(codes, [name for name in sys.modules"
-        " if name.split('.')[0] == 'scipy' or name.split('.')[:2] == ['numpy', 'ma']])",
+        " if name.split('.')[0] in ('scipy', 'logging')"
+        " or name.split('.')[:2] == ['numpy', 'ma']])",
     ])
     proc = _run_clean(["-c", script])
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,8 @@
 import itertools
+import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -678,3 +681,23 @@ def test_spectrum_distance_rejects_nonfinite(bad):
         spectrum_distance(a, b)
     with pytest.raises(ValueError):
         spectrum_distance(b, a)
+
+
+def test_spectrum_distance_bisection_leaves_numpy_ma_unloaded():
+    # the nearest-partner bound 1 admits no matching here, so the levels
+    # above it are searched, 9 three times over; np.unique, which would
+    # import numpy.ma on its first call in a process, is not needed for that
+    code = (
+        "import sys\n"
+        "from obsforge.numerics import spectrum_distance\n"
+        "print(spectrum_distance([0, 0, 10], [1, 9, 11]), 'numpy.ma' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["9.0", "False"]
+    assert ref_spectrum_distance(np.array([0, 0, 10]), np.array([1, 9, 11])) == 9.0
