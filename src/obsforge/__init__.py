@@ -8,11 +8,12 @@ scales it to keep the closed loop stable (stealthy), builds a Luenberger
 observer on the attacked model, certifies a region of attraction for the
 coupled plant/estimator dynamics, and simulates the whole loop.
 
-``import obsforge`` loads this file and ``errors`` only, not numpy. Each
-submodule and each public name of a layer loads on first use, e.g.
-``obsforge.certify`` imports ``roa`` and what it needs; ``from obsforge
-import *`` loads them all. Nothing here imports ``logging``: the CLI does,
-only when OBS_FORGE_LOG asks for info or debug lines.
+``import obsforge`` loads this file and ``errors`` only, not numpy. A
+submodule loads on first use. The first use of a layer's public name, or of
+``__all__`` as ``from obsforge import *`` makes, loads the five layers
+(attack, model, observer, roa, sim) and binds their ``__all__`` names here.
+Nothing here imports ``logging``: the CLI does, only when OBS_FORGE_LOG asks
+for info or debug lines.
 
 Modules
 -------
@@ -35,60 +36,28 @@ from .errors import *  # noqa: F401,F403 -- errors.__all__ is its API
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("attack", "cli", "model", "numerics", "observer", "refcase", "report", "roa", "sim")
-
-# each public name of a layer -> the module that defines it; a layer's names
-# are its __all__, in order
-_HOME = {
-    name: module
-    for module, names in (
-        ("attack", (
-            "ForbiddenSubspace", "ForbiddenSet", "AttackDesign", "ObservabilityResult",
-            "forbidden_set", "is_observable", "choose_pi_star", "gamma_max",
-            "build_design", "attack_signal",
-        )),
-        ("model", (
-            "PlantModel", "ControllerModel", "ClosedLoop", "AssumptionReport",
-            "assemble", "validate_assumptions", "load_system", "system_from_dict",
-        )),
-        ("observer", (
-            "ObserverDesign", "AugmentedJacobian", "CoupledField", "default_poles",
-            "design_gain", "gain_from_vector", "plant_rhs", "observer_rhs",
-            "error_rhs", "augmented_jacobian", "coupled_field",
-        )),
-        ("roa", (
-            "RoaEstimate", "DecayReport", "BoxReport", "verify_decay",
-            "monte_carlo_box_check", "certify",
-        )),
-        ("sim", (
-            "Trajectory", "DecayFit", "integrate", "integrate_batch", "fit_decay",
-            "trajectory_to_csv", "write_gnuplot_stub",
-        )),
-    )
-    for name in names
-}
-
-__all__ = [
-    "attack", "cli", "model", "numerics", "observer", "refcase", "roa", "sim",
-    *errors.__all__, *_HOME,
-    "__version__",
-]
+# the submodules __all__ lists; report loads on first use too but is not listed
+_SUBMODULES = ("attack", "cli", "model", "numerics", "observer", "refcase", "roa", "sim")
+# the layers whose own __all__ is the rest of the package API, in its order
+_LAYERS = ("attack", "model", "observer", "roa", "sim")
 
 
 def __getattr__(name):
     # cli too loads only here, never by ``import obsforge``, so that
     # ``python -m obsforge.cli`` does not find it already imported
-    home = name if name in _SUBMODULES else _HOME.get(name)
-    if home is None:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    path = "%s.%s" % (__name__, home)
-    __import__(path)  # the interpreter's own import, not importlib's: -X importtime lists it
-    module = sys.modules[path]
-    if home == name:
-        return module
-    value = globals()[name] = getattr(module, name)  # later lookups skip this function
-    return value
+    if name in _SUBMODULES or name == "report":
+        path = "%s.%s" % (__name__, name)
+        __import__(path)  # the interpreter's own import, not importlib's: -X importtime lists it
+        return sys.modules[path]
+    # a dunder other than __all__ is a probe (copy, pickle, inspect): it loads no layer
+    if "__all__" not in globals() and (name == "__all__" or not name.startswith("__")):
+        api = {n: getattr(m, n) for m in map(__getattr__, _LAYERS) for n in m.__all__}
+        # bound here, so later lookups skip this function
+        globals().update(api, __all__=[*_SUBMODULES, *errors.__all__, *api, "__version__"])
+    if name in globals():
+        return globals()[name]
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+    return sorted({*__getattr__("__all__"), *globals()})  # loads the layers first

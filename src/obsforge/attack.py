@@ -23,6 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import (
+    _check_index,
     eig,
     is_hurwitz,
     solve_lyapunov,
@@ -275,8 +276,9 @@ def choose_pi_star(
     ------
     ValidationError
         If a user-supplied pi* has the wrong length, is non-finite or zero,
-        or sits inside a forbidden subspace; the message names the first
-        violated subspace's source tag.
+        or sits inside a forbidden subspace (the message names the first
+        violated subspace's source tag); or, with no pi* given, if ``seed``
+        is not a nonnegative integer.
     SynthesisError
         If no candidate clears the margins, or the winner fails the
         observability check (e.g. Q_p = 0 makes induction impossible).
@@ -302,6 +304,7 @@ def choose_pi_star(
                 )
         chosen = pi_star
     else:
+        _check_index(seed, "seed")  # None would draw an irreproducible pi*
         rng = np.random.default_rng(seed)
         samples = rng.standard_normal((n_candidates, closed_loop.n_p))
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)

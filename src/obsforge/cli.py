@@ -21,12 +21,13 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 # every subcommand runs these; the other layers load where a subcommand runs them
-from . import model, refcase, sim
+from . import model, refcase
 from .errors import (
     AssumptionError,
     DivergenceError,
@@ -34,6 +35,7 @@ from .errors import (
     SynthesisError,
     ValidationError,
 )
+from .numerics import _check_steps
 from .report import _log, _usable_cpus, jsonable, read_json
 
 __all__ = ["RunConfig", "main"]
@@ -83,7 +85,7 @@ class RunConfig:
                 raise ValidationError(
                     "must be positive and finite, got %r" % value, field=name
                 )
-        sim._check_steps(self.dt, self.horizon, 1, "horizon")
+        _check_steps(self.dt, self.horizon, 1, "horizon")
         if not 0 <= self.seed < math.inf or int(self.seed) != self.seed:
             raise ValidationError(
                 "must be a nonnegative integer, got %r" % self.seed, field="seed"
@@ -176,15 +178,13 @@ def _load_system(config):
 
 def _write_json(path, payload):
     text = json.dumps(jsonable(payload), indent=2, sort_keys=True)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
     _log("obsforge", "info", "wrote %s", path)
 
 
 def _write_meta(config, argv):
     """Wall-clock and invocation metadata, kept out of the main reports."""
-    import time
-
     os.makedirs(config.out, exist_ok=True)
     meta = {
         "argv": list(argv),
@@ -451,6 +451,8 @@ def _design_for_run(config):
 
 
 def cmd_simulate(config):
+    from . import sim
+
     _, _, cl, design, obs, est = _design_for_run(config)
     z0, zhat0 = _default_initial(config, cl)
     traj = sim.integrate(cl, design, obs, z0, zhat0, dt=config.dt, T=config.horizon)

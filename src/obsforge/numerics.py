@@ -19,15 +19,22 @@ rounding of either side; ``place_poles_dual`` skips ``np.poly`` for a target
 set that equals its conjugate exactly, whose coefficients ``np.poly`` makes
 real itself; ``spectrum_distance`` skips the matching search when the
 nearest partners of the rows are all different columns.
+
+The input rules that more than one layer applies live here too:
+``_asymmetry_bound`` for symmetric weights, ``_check_index`` for seeds and
+sample counts, and ``_check_steps``, the step grid of every integration,
+which the CLI applies to its flags without loading ``sim``.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, ValidationError
 
 __all__ = [
     "EigenPairs",
@@ -53,6 +60,40 @@ _MARGIN = 2.0**-20
 def _asymmetry_bound(M):
     """TOL_SYM relative to the largest entry of M (absolute below 1)."""
     return TOL_SYM * max(1.0, np.abs(M).max())
+
+
+def _check_index(value, field):
+    """Raise ValidationError naming ``field`` unless value is a nonnegative integer."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise ValidationError("must be a nonnegative integer, got %r" % (value,), field=field)
+
+
+def _check_steps(dt, T, stride, T_field="T"):
+    """The number of steps of size dt in [0, T]; bad dt, T or stride raise
+    ValidationError, naming T as ``T_field``. T must be a whole number of
+    steps to 1e-9 relative, so a run never ends at a time it does not report."""
+    if not 0 < dt < math.inf:
+        raise ValidationError("must be positive and finite, got %r" % (dt,), field="dt")
+    steps = T / dt
+    if not math.isfinite(steps):
+        raise ValidationError("horizon must span a finite number of steps", field=T_field)
+    if T < dt:
+        raise ValidationError("horizon must be at least one step", field=T_field)
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValidationError(
+            "must be a whole number of dt steps, got %r = %.12g * dt" % (T, steps), field=T_field
+        )
+    try:
+        positive = operator.index(stride) >= 1
+    except TypeError:
+        positive = False
+    if not positive:
+        raise ValidationError("must be a positive integer, got %r" % (stride,), field="stride")
+    return int(round(steps))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ in chunks, one per usable CPU, with bit-identical reports.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import pickle
 import signal
@@ -30,6 +29,8 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .numerics import (
     _asymmetry_bound,
+    _check_index,
+    _check_steps,
     is_hurwitz,
     solve_lyapunov,
     spectral_abscissa,
@@ -37,7 +38,7 @@ from .numerics import (
 )
 from .observer import coupled_field
 from .report import Reported, _log, _usable_cpus
-from .sim import _check_steps, integrate_batch
+from .sim import integrate_batch
 
 __all__ = [
     "RoaEstimate",
@@ -106,16 +107,6 @@ def _sample_in_ellipsoid(evecs, sqrt_evals, level, rng):
     r = rng.uniform() ** (1.0 / d)
     x = evecs @ ((evecs.T @ g) / sqrt_evals)
     return math.sqrt(level) * r * x
-
-
-def _check_index(value, field):
-    """Raise ValidationError naming ``field`` unless value is a nonnegative integer."""
-    try:
-        index = operator.index(value)
-    except TypeError:
-        index = -1
-    if index < 0:
-        raise ValidationError("must be a nonnegative integer, got %r" % (value,), field=field)
 
 
 def _seeded_rows(seed, n_samples, width, draw, start=0):

@@ -9,7 +9,9 @@ with m(zhat) = zhat'Q zhat + 2 Hbar zhat and the corrupted measurement
 ytilde = z'Qz + Hbar zhat rebuilt from the stage-consistent (z, zhat), not
 held between steps. The field lives in :func:`observer.coupled_field`; its
 linear part is the augmented Jacobian J_tilde. Fixed step keeps runs
-deterministic bit-for-bit, which the golden tests rely on.
+deterministic bit-for-bit, which the golden tests rely on. The step grid
+rule (dt, horizon and stride) is :func:`numerics._check_steps`, which the
+CLI and the Monte Carlo checks apply as well.
 
 In factor form the field is sdot = J_tilde s + K (C s)**2, squared
 entrywise: the quadratic output reads only the plant, Q = blockdiag(Q_p,
@@ -38,13 +40,14 @@ Monte Carlo checks pass folds that keep only O(samples) state.
 
 from __future__ import annotations
 
-import math
-import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
+from .numerics import _check_steps
+from .observer import coupled_field
 from .report import Reported
 
 __all__ = [
@@ -235,30 +238,6 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold=None):
     return times, out, blowup
 
 
-def _check_steps(dt, T, stride, T_field="T"):
-    """The number of steps of size dt in [0, T]; bad dt, T or stride raise
-    ValidationError, naming T as ``T_field``. T must be a whole number of
-    steps to 1e-9 relative, so a run never ends at a time it does not report."""
-    if not 0 < dt < math.inf:
-        raise ValidationError("must be positive and finite, got %r" % (dt,), field="dt")
-    steps = T / dt
-    if not math.isfinite(steps):
-        raise ValidationError("horizon must span a finite number of steps", field=T_field)
-    if T < dt:
-        raise ValidationError("horizon must be at least one step", field=T_field)
-    if abs(steps - round(steps)) > 1e-9 * steps:
-        raise ValidationError(
-            "must be a whole number of dt steps, got %r = %.12g * dt" % (T, steps), field=T_field
-        )
-    try:
-        positive = operator.index(stride) >= 1
-    except TypeError:
-        positive = False
-    if not positive:
-        raise ValidationError("must be a positive integer, got %r" % (stride,), field="stride")
-    return int(round(steps))
-
-
 def integrate(closed_loop, design, obs, z0, zhat0, dt=DEFAULT_DT, T=DEFAULT_T, stride=1):
     """Integrate one run and record every ``stride``-th step (plus the last).
 
@@ -273,9 +252,6 @@ def integrate(closed_loop, design, obs, z0, zhat0, dt=DEFAULT_DT, T=DEFAULT_T, s
             "initial states must have length %d" % n, field="z0/zhat0"
         )
     n_steps = _check_steps(dt, T, stride)
-    # imported here: the CLI loads sim for _check_steps alone, and so not observer
-    from .observer import coupled_field
-
     field = coupled_field(closed_loop, design, obs)
     S0 = np.concatenate([z0, zhat0])[None, :]
     times, states, blowup = _rk4_batch(field, S0, dt, n_steps, stride, NORM_LIMIT)
@@ -338,8 +314,6 @@ def integrate_batch(
     n_steps = _check_steps(dt, T, stride)
     if not norm_limit > 0:  # the screen squares the limit, which would lose its sign
         raise ValidationError("must be positive, got %r" % (norm_limit,), field="norm_limit")
-    from .observer import coupled_field
-
     field = coupled_field(closed_loop, design, obs)
     S0 = np.concatenate([Z0, Zh0], axis=1)
     times, states, blowup = _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold)
@@ -462,8 +436,6 @@ def trajectory_to_csv(traj, path):
 
 def write_gnuplot_stub(csv_path, script_path, n):
     """Companion gnuplot script: states vs estimates, then the two norms."""
-    import os
-
     csv_name = os.path.basename(str(csv_path))
     norm_z = " + ".join("$%d**2" % (2 + i) for i in range(n))
     norm_e = " + ".join("$%d**2" % (2 + 2 * n + i) for i in range(n))

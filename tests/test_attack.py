@@ -224,6 +224,15 @@ def test_build_design_validates_fraction(ref_system):
             attack.build_design(cl, pi_star=np.array([1.0, -3.0]), gamma_fraction=bad)
 
 
+@pytest.mark.parametrize("seed", [None, -1, 1.5, "3"])
+def test_build_design_rejects_a_seed_that_is_no_index(ref_system, seed):
+    # None would draw an unseeded pi*; the others would reach numpy's own errors
+    _, _, cl = ref_system
+    with pytest.raises(ValidationError) as info:
+        attack.build_design(cl, seed=seed)
+    assert info.value.field == "seed"
+
+
 def test_attack_signal_row_semantics(ref_design):
     rng = np.random.default_rng(2)
     for _ in range(10):
