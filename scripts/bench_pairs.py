@@ -20,10 +20,12 @@ the change stays within the bound BENCHMARK.json fixes. After a
 workload's pairs, one ``--trace 1`` run per tree on the first seed gives
 the per-layer metrics of both sides, stored under ``per_layer`` as
 ``{metric: {"parent": value, "change": value}}``. Each untraced run's
-``# nproc ...`` line is kept under ``nproc`` and its per-kind median
-operation times (``box_check_s``, ``cli_roa_s``, ..., unscaled seconds)
-are summarised under ``per_kind_s``, both by side, so the file shows the
-CPU count of every run and which operation moved. The file is rewritten
+``# nproc ...`` line is kept under ``nproc``, its ``# reference kernel
+median ...; unscaled ops_per_s ...`` line under ``reference``, and its
+per-kind median operation times (``box_check_s``, ``cli_roa_s``, ...,
+unscaled seconds) are summarised under ``per_kind_s``, all by side, so the
+file shows the CPU count of every run, the yardstick its scaled
+``ops_per_s`` was divided by, and which operation moved. The file is rewritten
 after every pair, so an interrupted run keeps what it measured.
 """
 
@@ -45,7 +47,8 @@ KIND_LINE = re.compile(r"# (\w+_s) median (\S+) s,")
 
 def run_once(tree, workload, seed, seconds, trace=0):
     """One benchmark run in ``tree``: (correct, {metric: value, failed_share},
-    {"nproc": its ``# nproc`` line, "kinds": {kind: median seconds}})."""
+    {"nproc": its ``# nproc`` line, "reference": its ``# reference kernel`` line,
+    "kinds": {kind: median seconds}})."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -58,8 +61,10 @@ def run_once(tree, workload, seed, seconds, trace=0):
     values = {k: m["value"] for k, m in result["metrics"].items()}
     values["failed_share"] = result["failed"] / result["attempted"]
     out = proc.stdout.splitlines()
+    line = lambda prefix: next((l[2:] for l in out if l.startswith(prefix)), None)
     info = {
-        "nproc": next((l[2:] for l in out if l.startswith("# nproc ")), None),
+        "nproc": line("# nproc "),
+        "reference": line("# reference kernel "),
         "kinds": {m[1]: float(m[2]) for m in map(KIND_LINE.match, out) if m},
     }
     return result["correct"], values, info
@@ -90,18 +95,19 @@ def entry(seeds, done):
     """One workload's record from the finished pairs ``done`` [(side, correct, values, info)]."""
     sides = {"parent": {}, "change": {}}
     kinds = {"parent": {}, "change": {}}
-    nproc = {"parent": [], "change": []}
+    lines = {key: {"parent": [], "change": []} for key in ("nproc", "reference")}
     for side, _, values, info in done:
         for k, v in values.items():
             sides[side].setdefault(k, []).append(v)
         for k, v in info["kinds"].items():
             kinds[side].setdefault(k, []).append(v)
-        nproc[side].append(info["nproc"])
+        for key, by_side in lines.items():
+            by_side[side].append(info[key])
     out = {
         "seeds": seeds[: len(done) // 2],
         "pairs": len(done) // 2,
         "all_correct": all(ok for _, ok, _, _ in done),
-        "nproc": nproc,
+        **lines,
         "per_kind_s": {side: {k: summary(v) for k, v in kinds[side].items()} for side in kinds},
     }
     for side, metrics in sides.items():

@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import _check_steps
-from .report import _log, _usable_cpus, jsonable, read_json
+from .report import _log, jsonable, read_json
 
 __all__ = ["RunConfig", "main"]
 
@@ -190,8 +190,6 @@ def _write_meta(config, argv):
         "argv": list(argv),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "seed": config.seed,
-        # the Monte Carlo checks run one sample chunk per usable CPU
-        "usable_cpus": _usable_cpus(),
     }
     _write_json(os.path.join(config.out, "run_meta.json"), meta)
 

@@ -8,9 +8,8 @@ strings ``"nan"``, ``"inf"`` and ``"-inf"``, so every report is strict JSON.
 what their report holds. :func:`read_json` reads a JSON input file and
 reports malformed text under the file's path.
 
-What stays out of the reports lives here too: :func:`_usable_cpus`, the CPU
-count that the Monte Carlo checks split their samples by and run_meta.json
-records, and :func:`_log`, the one writer of log lines.
+What stays out of the reports lives here too: :func:`_log`, the one writer
+of log lines.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -77,14 +75,6 @@ class Reported:
 
     def as_dict(self):
         return jsonable(self)
-
-
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _log(name, level, message, *args):

@@ -295,8 +295,7 @@ def integrate_batch(
     Each row gets the arithmetic of :func:`integrate`, but BLAS picks its
     kernel by a row's place in the batch. Cutting a batch at multiples of 8
     rows leaves every row's states bit-identical to the uncut run (measured
-    with OpenBLAS 0.3.31, Haswell kernels), which is how the Monte Carlo
-    checks split their samples across CPUs; cuts elsewhere (4 or 250 rows)
+    with OpenBLAS 0.3.31, Haswell kernels); cuts elsewhere (4 or 250 rows)
     change the last ulps, within 1e-15 absolute on states of order 1.
 
     With ``fold``, no record is kept: the stepper calls ``fold(rec, S)``

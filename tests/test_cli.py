@@ -553,19 +553,18 @@ def test_invalid_log_level_is_input_error(tmp_path, monkeypatch, capsys):
     assert "OBS_FORGE_LOG" in capsys.readouterr().err
 
 
-def test_debug_log_names_sample_chunks(tmp_path, monkeypatch):
-    # the chunk bounds and the CPU count go to the log and run_meta.json,
-    # never into the deterministic reports
+def test_debug_log_names_sample_counts(tmp_path, monkeypatch):
+    # each Monte Carlo check logs its sample count, and neither the log level
+    # nor the CPU count reaches the deterministic reports or run_meta.json
     quiet, loud = tmp_path / "quiet", tmp_path / "loud"
     assert cli.main(["roa", "--out", str(quiet), "--horizon", "0.5"]) == 3
     monkeypatch.setenv("OBS_FORGE_LOG", "debug")
     proc = _run_clean(["-m", "obsforge.cli", "roa", "--out", str(loud), "--horizon", "0.5"])
     assert proc.returncode == 3, proc.stderr
-    assert "DEBUG obsforge.roa: monte_carlo_box_check: sample chunks [0, " in proc.stderr
+    assert "DEBUG obsforge.roa: monte_carlo_box_check: 500 samples\n" in proc.stderr
     assert (loud / "roa.json").read_bytes() == (quiet / "roa.json").read_bytes()
-    cpus = roa._usable_cpus()
-    assert _read_json(loud / "run_meta.json")["usable_cpus"] == cpus
-    assert _read_json(quiet / "run_meta.json")["usable_cpus"] == cpus
+    for out in (loud, quiet):
+        assert set(_read_json(out / "run_meta.json")) == {"argv", "timestamp", "seed"}
 
 
 def test_subcommand_flag_sets(capsys):

@@ -3,7 +3,6 @@
 import json
 import math
 import os
-import signal
 import threading
 import tracemalloc
 import warnings
@@ -590,96 +589,49 @@ def test_verify_decay_matches_record_reduction(cert_instance, scale, knobs, dive
     assert (report.n_diverged > 0) == diverging
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _forbid_fork(monkeypatch):
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_chunked_checks_match_full_width(monkeypatch, ref_system, ref_design, ref_observer,
                                          cert_instance, cpus):
-    """Cut at multiples of 8 samples, with one chunk per CPU and each of at
-    least 128 samples, the checks give the full-width reports exactly."""
-    monkeypatch.setattr(roa, "_usable_cpus", lambda: cpus)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    """Whatever CPU count the host reports, both checks integrate all their
+    samples as one batch in the calling process, so their reports are the
+    full-width references exactly."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    _forbid_fork(monkeypatch)
     _, _, cl = ref_system
-    for knobs, chunks in (
-        (dict(seed=0), min(cpus, 3)),
-        (dict(box_halfwidth=3.0, n_samples=520, horizon=1.0, seed=1), cpus),  # some diverge
-        (dict(n_samples=255, horizon=0.5), 1),
+    for knobs in (
+        dict(seed=0),  # the default 500 samples
+        dict(box_halfwidth=3.0, n_samples=520, horizon=1.0, seed=1),  # some diverge
+        dict(n_samples=255, horizon=0.5),
     ):
-        del forks[:]
         report = roa.monte_carlo_box_check(cl, ref_design, ref_observer, **knobs)
-        _assert_no_child_left()
-        assert len(forks) == chunks - 1
         assert report == _box_report_by_record(cl, ref_design, ref_observer, **knobs)
     cl, design, obs, est = cert_instance
-    for scale, knobs, chunks in (
-        (1.0, dict(seed=0), 1),  # 200 samples stay in one chunk
-        (1.0, dict(n_samples=520, horizon=0.5, seed=1), cpus),
-        (1e6, dict(n_samples=300, horizon=0.5, seed=3), min(cpus, 2)),  # most diverge
+    for scale, knobs in (
+        (1.0, dict(seed=0)),  # the default 200 samples
+        (1.0, dict(n_samples=520, horizon=0.5, seed=1)),
+        (1e6, dict(n_samples=300, horizon=0.5, seed=3)),  # most diverge
     ):
-        del forks[:]
         scaled = replace(est, level=est.level * scale)
         report = roa.verify_decay(cl, design, obs, scaled, **knobs)
-        _assert_no_child_left()
-        assert len(forks) == chunks - 1
         assert report == _decay_report_by_record(cl, design, obs, scaled, **knobs)
-
-
-def test_chunk_bounds_are_aligned_and_wide(monkeypatch):
-    for cpus in range(1, 9):
-        monkeypatch.setattr(roa, "_usable_cpus", lambda: cpus)
-        for n_samples in (0, 1, 127, 128, 255, 256, 270, 500, 1000, 1031, 4099):
-            bounds = roa._chunk_bounds(n_samples)
-            widths = np.diff(bounds)
-            assert bounds[0] == 0 and bounds[-1] == n_samples
-            assert len(widths) == max(1, min(cpus, n_samples // 128))
-            assert all(b % 8 == 0 for b in bounds[:-1])
-            assert len(widths) == 1 or widths.min() >= 128
-
-
-@pytest.mark.parametrize("kill", [False, True])
-def test_failed_chunk_reaches_the_caller(monkeypatch, ref_system, ref_design, ref_observer, kill):
-    # chunk [248, 500) runs in a child; there it raises, or the child dies
-    monkeypatch.setattr(roa, "_usable_cpus", lambda: 2)
-    parent = os.getpid()
-    integrate_batch = roa.integrate_batch
-
-    def failing(*args, **kwargs):
-        if os.getpid() != parent:
-            if kill:
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise LookupError("raised in the child")
-        return integrate_batch(*args, **kwargs)
-
-    monkeypatch.setattr(roa, "integrate_batch", failing)
-    _, _, cl = ref_system
-    if kill:
-        error, match = RuntimeError, r"\[248, 500\).*signal %d" % signal.SIGKILL
-    else:
-        error, match = LookupError, "raised in the child"
-    with pytest.raises(error, match=match):
-        roa.monte_carlo_box_check(cl, ref_design, ref_observer, horizon=0.1)
-    _assert_no_child_left()
 
 
 def test_chunks_stay_in_process_without_a_safe_fork(monkeypatch, ref_system, ref_design,
                                                     ref_observer):
-    monkeypatch.setattr(roa, "_usable_cpus", lambda: 2)
-
-    def fork():
-        raise AssertionError("os.fork called")
-
-    monkeypatch.setattr(os, "fork", fork)
+    """The box check needs no fork: it gives the full-width report while
+    another thread is alive, and on a platform without os.fork."""
+    _forbid_fork(monkeypatch)
     _, _, cl = ref_system
     knobs = dict(n_samples=256, horizon=0.5)
     expected = _box_report_by_record(cl, ref_design, ref_observer, **knobs)
-    # one chunk: too few samples for two
-    roa.monte_carlo_box_check(cl, ref_design, ref_observer, n_samples=255, horizon=0.1)
-    # another thread is alive, so a fork could copy a lock it holds
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
@@ -690,7 +642,6 @@ def test_chunks_stay_in_process_without_a_safe_fork(monkeypatch, ref_system, ref
         other.join(timeout=60)
     assert not other.is_alive()
     assert report == expected
-    # no fork on this platform
     monkeypatch.delattr(os, "fork")
     assert roa.monte_carlo_box_check(cl, ref_design, ref_observer, **knobs) == expected
 
@@ -705,14 +656,8 @@ def test_chunks_stay_in_process_without_a_safe_fork(monkeypatch, ref_system, ref
         (dict(dt=4e-4, horizon=1.0003), "horizon"),  # 2500.75 steps
     ],
 )
-def test_step_knobs_checked_before_any_chunk(monkeypatch, cert_instance, knobs, field):
-    # 500 samples on 2 CPUs would fork a child for the second chunk
-    monkeypatch.setattr(roa, "_usable_cpus", lambda: 2)
-
-    def fork():
-        raise AssertionError("os.fork called")
-
-    monkeypatch.setattr(os, "fork", fork)
+def test_step_knobs_checked_before_any_chunk(cert_instance, knobs, field):
+    # a bad step grid is refused before any of the 500 samples is drawn
     cl, design, obs, est = cert_instance
     for check in (
         lambda: roa.monte_carlo_box_check(cl, design, obs, n_samples=500, **knobs),
