@@ -12,11 +12,17 @@ divergence, 5 reference-case mismatch.
 
 Reports are byte-identical across runs for a fixed (config, seed);
 wall-clock metadata goes to a separate run_meta.json.
+
+Entries: the ``obs-forge`` script, ``python -m obsforge`` and ``python -m
+obsforge.cli`` all start in ``run()``, which freezes the start-up heap
+(``gc.freeze``) and then returns ``main()``'s exit code. ``main(argv)`` is
+the in-process entry and leaves the collector as its caller had it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -38,7 +44,7 @@ from .errors import (
 from .numerics import _check_steps
 from .report import _log, jsonable, read_json
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["RunConfig", "main", "run"]
 
 EXIT_OK = 0
 EXIT_ASSUMPTION = 1
@@ -597,5 +603,14 @@ def main(argv=None) -> int:
         return EXIT_ASSUMPTION
 
 
+def run() -> int:
+    """The process entry: ``main()`` on ``sys.argv``, with the start-up heap frozen."""
+    # everything alive at entry (numpy's and obsforge's import objects) lives
+    # until the process exits, so no collection, the interpreter's shutdown
+    # ones included, needs to walk it
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import gc
 import json
 import os
 import re
@@ -167,24 +168,86 @@ def test_function_level_imports_are_the_deliberate_deferrals():
     }
 
 
-def _cli_process(argv):
-    """(process, names in sys.modules at its exit) of a fresh interpreter
-    that runs ``python -m obsforge.cli`` on argv."""
+def _cli_process(argv, module="obsforge.cli"):
+    """(process, names in sys.modules at its exit, gc.get_freeze_count() at
+    its exit) of a fresh interpreter that runs ``python -m module`` on argv."""
     code = (
-        "import runpy, sys\n"
+        "import gc, runpy, sys\n"
         "sys.argv[1:] = %r\n"
         "try:\n"
-        "    runpy.run_module('obsforge.cli', run_name='__main__', alter_sys=True)\n"
+        "    runpy.run_module(%r, run_name='__main__', alter_sys=True)\n"
         "finally:\n"
-        "    print(sorted(sys.modules))\n" % argv
+        "    print((sorted(sys.modules), gc.get_freeze_count()))\n" % (argv, module)
     )
     proc = _run_clean(["-W", "error", "-c", code])
-    return proc, set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    loaded, frozen = ast.literal_eval(proc.stdout.splitlines()[-1])
+    return proc, set(loaded), frozen
+
+
+@pytest.mark.parametrize("module", ["obsforge.cli", "obsforge"])
+def test_process_entries_freeze_the_start_up_heap(tmp_path, module):
+    proc, _, frozen = _cli_process(["validate", "--out", str(tmp_path / "o")], module)
+    assert proc.returncode == 0, proc.stderr
+    assert frozen > 0
+
+
+def test_main_leaves_the_collector_as_the_caller_had_it(tmp_path, monkeypatch):
+    # run() is the process entry and freezes; main(argv) runs inside callers
+    # such as these tests and the benchmark's traced rounds, so it must not
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(gc.get_freeze_count()))
+    monkeypatch.setattr(sys, "argv", ["obs-forge", "validate", "--out", str(tmp_path / "r")])
+    assert cli.run() == 0
+    assert len(freezes) == 1
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            frozen = gc.get_freeze_count()
+            assert cli.main(["validate", "--out", str(tmp_path / str(enabled))]) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert len(freezes) == 1
+
+
+def test_console_script_enters_through_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"obs-forge": "obsforge.cli:run"}
+
+
+def test_process_and_in_process_flows_write_the_same_reports(tmp_path, capsys):
+    # the benchmark's flow: fresh `python -m obsforge.cli` processes against
+    # cli.main in this process, exit codes and every report but run_meta.json
+    def argv(sub, out):
+        bundle = ["--bundle", str(out / "bundle.json")]
+        return [sub, "--out", str(out), "--seed", "3"] + {
+            "validate": [],
+            "synthesize": ["--pi=1,-3", "--poles=-9.5,-10.5,-11.5,-12.5"],
+            "simulate": bundle + ["--z0=0.1,-0.05,0.12,-0.08", "--zhat0=-0.1,0.15,0.02,0.07"],
+            "roa": bundle,
+            "reproduce-paper": [],
+        }[sub]
+
+    steps = ("validate", "synthesize", "simulate", "roa", "reproduce-paper")
+    fresh, inner = tmp_path / "process", tmp_path / "in_process"
+    codes = [_run_clean(["-m", "obsforge.cli"] + argv(sub, fresh)).returncode for sub in steps]
+    assert codes == [0, 3, 0, 3, 0]
+    assert [cli.main(argv(sub, inner)) for sub in steps] == codes
+    capsys.readouterr()
+    names = sorted(p.name for p in fresh.iterdir() if p.name != "run_meta.json")
+    assert names == sorted(p.name for p in inner.iterdir() if p.name != "run_meta.json")
+    assert len(names) == 7
+    for name in names:
+        assert (fresh / name).read_bytes() == (inner / name).read_bytes(), name
 
 
 def test_validate_loads_only_its_layers(tmp_path, monkeypatch):
     monkeypatch.delenv("OBS_FORGE_LOG", raising=False)
-    proc, loaded = _cli_process(["validate", "--out", str(tmp_path / "o")])
+    proc, loaded, _ = _cli_process(["validate", "--out", str(tmp_path / "o")])
     assert proc.returncode == 0, proc.stderr
     assert {"obsforge.model", "obsforge.refcase"} <= loaded
     assert not {
@@ -196,7 +259,7 @@ def test_logging_loads_only_when_lines_are_asked_for(tmp_path, monkeypatch):
     argv = ["validate", "--out", str(tmp_path / "o")]
     for level, loads in (("error", False), ("info", True), ("debug", True)):
         monkeypatch.setenv("OBS_FORGE_LOG", level)
-        proc, loaded = _cli_process(argv)
+        proc, loaded, _ = _cli_process(argv)
         assert proc.returncode == 0, proc.stderr
         assert ("logging" in loaded) == loads, level
         assert ("INFO obsforge: wrote " in proc.stderr) == loads, level
