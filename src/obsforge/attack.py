@@ -49,6 +49,9 @@ TOL_OBS = 1e-9
 #: minimum angular clearance a projection vector must keep from every subspace
 TOL_MARGIN = 1e-6
 
+#: seeded unit-sphere candidates choose_pi_star scores when no pi* is given
+N_CANDIDATES = 64
+
 #: eigenvector-matrix condition number past which eigenvectors are suspect
 _COND_DEFECTIVE = 1e8
 
@@ -251,26 +254,21 @@ def _clearances(forbidden, directions):
     return np.maximum.reduceat(cos, starts, axis=1)
 
 
-def choose_pi_star(
-    closed_loop,
-    forbidden,
-    pi_star=None,
-    seed=0,
-    n_candidates=64,
-    tol_margin=TOL_MARGIN,
-):
+def choose_pi_star(closed_loop, forbidden, pi_star=None, seed=0):
     """Select a projection direction clear of every forbidden subspace.
 
-    With ``pi_star`` given, validates and returns it; it is scored and
-    checked on its unit direction, since neither the angular margin nor the
-    observability of the induced pair depends on its scale, so a huge pi*
-    is judged like its direction. Otherwise draws
-    ``n_candidates`` unit-sphere samples from a seeded generator, scores all
-    of them against every subspace in one array pass, and keeps the one
-    maximizing the minimum angular margin (ties: lowest index, so the choice
-    is reproducible). An empty forbidden set gives every candidate an
-    infinite margin, so the first one wins. Either way the winning direction
-    must make the reference-scale pair (Fbar, Hbar) observable.
+    A direction must clear every subspace by more than TOL_MARGIN, read at
+    call time. With ``pi_star`` given, validates and returns it; it is
+    scored and checked on its unit direction, since neither the angular
+    margin nor the observability of the induced pair depends on its scale,
+    so a huge pi* is judged like its direction. Otherwise draws
+    N_CANDIDATES unit-sphere samples from a generator seeded with ``seed``,
+    scores all of them against every subspace in one array pass, and keeps
+    the one maximizing the minimum angular margin (ties: lowest index, so
+    the choice is reproducible). An empty forbidden set gives every
+    candidate an infinite margin, so the first one wins. Either way the
+    winning direction must make the reference-scale pair (Fbar, Hbar)
+    observable.
 
     Raises
     ------
@@ -296,25 +294,24 @@ def choose_pi_star(
             raise ValidationError("pi_star must be nonzero", field="pi_star")
         direction = _unit(pi_star)
         for s, m in zip(forbidden, _clearances(forbidden, direction)[0]):
-            if m <= tol_margin:
+            if m <= TOL_MARGIN:
                 raise ValidationError(
                     "lies in forbidden subspace %s (eigenvalue %s, margin "
-                    "%.3e <= %.1e)" % (s.tag, s.eigenvalue, m, tol_margin),
+                    "%.3e <= %.1e)" % (s.tag, s.eigenvalue, m, TOL_MARGIN),
                     field="pi_star",
                 )
         chosen = pi_star
     else:
         _check_index(seed, "seed")  # None would draw an irreproducible pi*
         rng = np.random.default_rng(seed)
-        samples = rng.standard_normal((n_candidates, closed_loop.n_p))
+        samples = rng.standard_normal((N_CANDIDATES, closed_loop.n_p))
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)
         margins = _clearances(forbidden, samples).min(axis=1, initial=np.inf)
         best = int(np.argmax(margins))
-        if not margins[best] > tol_margin:
+        if not margins[best] > TOL_MARGIN:
             raise SynthesisError(
-                "no sampled candidate clears margin %.1e (best %.3e); "
-                "increase n_candidates or supply pi_star"
-                % (tol_margin, margins[best])
+                "no sampled candidate clears margin %.1e (best %.3e); supply "
+                "pi_star" % (TOL_MARGIN, margins[best])
             )
         chosen = direction = samples[best]
 
@@ -363,17 +360,16 @@ class AttackDesign:
     observability_margin: float
 
 
-def build_design(
-    closed_loop, pi_star=None, gamma_fraction=0.9, Y=None, seed=0, n_candidates=64
-) -> AttackDesign:
+def build_design(closed_loop, pi_star=None, gamma_fraction=0.9, Y=None, seed=0) -> AttackDesign:
     """Scale pi* by gamma = gamma_fraction * gamma_max and verify the result.
 
-    ``pi_star`` of None lets choose_pi_star pick a direction (seeded); a
-    supplied pi* is validated against the forbidden set. ``Y`` defaults to
-    0.2 I. The returned design has been checked: gamma in (0, gamma_max),
-    Fbar Hurwitz, (Fbar, Hbar) observable. Failures of those checks raise
-    SynthesisError since the scaling bound guarantees them mathematically; a
-    trip here means tolerances were breached.
+    ``pi_star`` of None lets choose_pi_star pick a direction from its
+    N_CANDIDATES seeded candidates; a supplied pi* is validated against the
+    forbidden set. ``Y`` defaults to 0.2 I. The returned design has been
+    checked: gamma in (0, gamma_max), Fbar Hurwitz, (Fbar, Hbar) observable.
+    Failures of those checks raise SynthesisError since the scaling bound
+    guarantees them mathematically; a trip here means tolerances were
+    breached.
     """
     if not 0.0 < gamma_fraction < 1.0:
         raise ValidationError(
@@ -386,9 +382,7 @@ def build_design(
     forbidden = _forbidden_from_blocks(
         closed_loop.A_p, closed_loop.A_c, closed_loop.BpCc, closed_loop.Q_p
     )
-    pi_star = choose_pi_star(
-        closed_loop, forbidden, pi_star=pi_star, seed=seed, n_candidates=n_candidates
-    )
+    pi_star = choose_pi_star(closed_loop, forbidden, pi_star=pi_star, seed=seed)
 
     gmax = gamma_max(closed_loop.A, closed_loop.B, closed_loop.Q_p, pi_star, Y)
     gamma = gamma_fraction * gmax

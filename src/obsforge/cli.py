@@ -53,21 +53,21 @@ EXIT_INFEASIBLE = 3
 EXIT_DIVERGED = 4
 EXIT_MISMATCH = 5
 
+#: the attack bound uses Y = Y_SCALE * I; gamma_max is the same for every positive scale
+Y_SCALE = 0.2
+
 
 @dataclass
 class RunConfig:
     """Validated knobs for one pipeline run.
 
     Each field is named after the argparse dest of its flag, so the parsed
-    arguments map onto it as they are. ``y_scale`` has no flag: the attack
-    bound gamma_max does not change when Y = y_scale * I is scaled, and a
-    bundle records the value its bound used.
+    arguments map onto it as they are.
     """
 
     config: str | None = None
     pi: list | None = None
     gamma_fraction: float = 0.9
-    y_scale: float = 0.2
     poles: list | None = None
     w1_scale: float = 1.0
     w2_scale: float = 1.0
@@ -85,7 +85,7 @@ class RunConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValidationError("must lie in (0, 1), got %r" % value, field=name)
-        for name in ("y_scale", "w1_scale", "w2_scale"):
+        for name in ("w1_scale", "w2_scale"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValidationError(
@@ -200,8 +200,8 @@ def _write_meta(config, argv):
     _write_json(os.path.join(config.out, "run_meta.json"), meta)
 
 
-# the knobs a bundle stores under "config"; each key lowercased is its RunConfig field
-_STORED_KEYS = ("gamma_fraction", "Y_scale", "W1_scale", "W2_scale", "delta_fraction", "seed")
+# the knobs a bundle reloads from "config"; each key lowercased is its RunConfig field
+_STORED_KEYS = ("gamma_fraction", "W1_scale", "W2_scale", "delta_fraction", "seed")
 
 #: largest relative difference between a stored bundle number and its recomputation
 BUNDLE_REL_TOL = 1e-9
@@ -215,7 +215,7 @@ def _design_pipeline(config, cl):
         cl,
         pi_star=np.array(config.pi, dtype=float) if config.pi else None,
         gamma_fraction=config.gamma_fraction,
-        Y=config.y_scale * np.eye(cl.n),
+        Y=Y_SCALE * np.eye(cl.n),
         seed=config.seed,
     )
     desired = np.array(config.poles, dtype=complex) if config.poles else None
@@ -234,7 +234,7 @@ def _design_pipeline(config, cl):
 def _bundle_payload(config, plant, controller, design, obs, est):
     return {
         "system": {"plant": plant, "controller": controller},
-        "config": {key: getattr(config, key.lower()) for key in _STORED_KEYS},
+        "config": {"Y_scale": Y_SCALE, **{k: getattr(config, k.lower()) for k in _STORED_KEYS}},
         "attack": {
             "pi_star": design.pi_star,
             "gamma_max": design.gamma_max,

@@ -238,6 +238,16 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold=None):
     return times, out, blowup
 
 
+def _run(closed_loop, design, obs, Z0, Zh0, dt, T, stride, norm_limit, fold=None):
+    """:func:`_rk4_batch` on the rows [Z0, Zh0] after the entries' shared checks."""
+    n_steps = _check_steps(dt, T, stride)
+    if not norm_limit > 0:  # the screen squares the limit, which would lose its sign
+        raise ValidationError("must be positive, got %r" % (norm_limit,), field="norm_limit")
+    field = coupled_field(closed_loop, design, obs)
+    S0 = np.concatenate([Z0, Zh0], axis=1)
+    return _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold)
+
+
 def integrate(closed_loop, design, obs, z0, zhat0, dt=DEFAULT_DT, T=DEFAULT_T, stride=1):
     """Integrate one run and record every ``stride``-th step (plus the last).
 
@@ -245,16 +255,13 @@ def integrate(closed_loop, design, obs, z0, zhat0, dt=DEFAULT_DT, T=DEFAULT_T, s
     norm exceeds 1e9.
     """
     n = closed_loop.n
-    z0 = np.asarray(z0, dtype=float).reshape(-1)
-    zhat0 = np.asarray(zhat0, dtype=float).reshape(-1)
-    if z0.shape != (n,) or zhat0.shape != (n,):
+    z0 = np.asarray(z0, dtype=float).reshape(1, -1)  # one row of a batch
+    zhat0 = np.asarray(zhat0, dtype=float).reshape(1, -1)
+    if z0.shape != (1, n) or zhat0.shape != (1, n):
         raise ValidationError(
             "initial states must have length %d" % n, field="z0/zhat0"
         )
-    n_steps = _check_steps(dt, T, stride)
-    field = coupled_field(closed_loop, design, obs)
-    S0 = np.concatenate([z0, zhat0])[None, :]
-    times, states, blowup = _rk4_batch(field, S0, dt, n_steps, stride, NORM_LIMIT)
+    times, states, blowup = _run(closed_loop, design, obs, z0, zhat0, dt, T, stride, NORM_LIMIT)
     if np.isfinite(blowup[0]):
         raise DivergenceError(
             "state norm exceeded %.1e at t = %.6g s" % (NORM_LIMIT, blowup[0]),
@@ -293,10 +300,9 @@ def integrate_batch(
     Returns (times, z, z_hat, blowup_times): z and z_hat have shape
     (n_records, n_samples, n); rows after a sample's divergence are NaN.
     Each row gets the arithmetic of :func:`integrate`, but BLAS picks its
-    kernel by a row's place in the batch. Cutting a batch at multiples of 8
-    rows leaves every row's states bit-identical to the uncut run (measured
-    with OpenBLAS 0.3.31, Haswell kernels); cuts elsewhere (4 or 250 rows)
-    change the last ulps, within 1e-15 absolute on states of order 1.
+    kernel by a row's place in the batch, so a row's states may differ in
+    the last ulps from its run in another batch: within 1e-15 absolute on
+    states of order 1, whatever the batch width.
 
     With ``fold``, no record is kept: the stepper calls ``fold(rec, S)``
     at the initial state and at every record instead (see
@@ -310,30 +316,25 @@ def integrate_batch(
         raise ValidationError(
             "batch shapes must match and have width %d" % n, field="z0_batch"
         )
-    n_steps = _check_steps(dt, T, stride)
-    if not norm_limit > 0:  # the screen squares the limit, which would lose its sign
-        raise ValidationError("must be positive, got %r" % (norm_limit,), field="norm_limit")
-    field = coupled_field(closed_loop, design, obs)
-    S0 = np.concatenate([Z0, Zh0], axis=1)
-    times, states, blowup = _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold)
+    times, states, blowup = _run(closed_loop, design, obs, Z0, Zh0, dt, T, stride, norm_limit, fold)
     if states is None:
         return times, None, None, blowup
     return times, states[:, :, :n], states[:, :, n:], blowup
 
 
-def fit_decay(traj, window=None, fit_slack=FIT_SLACK, series="e"):
+def fit_decay(traj, fit_slack=FIT_SLACK, series="e"):
     """Exponential envelope fit of a trajectory norm.
 
-    Least squares on the log of the chosen norm series over the window
+    Least squares on the log of the chosen norm series over every record
     gives the rate alpha (minus the slope). The intercept is then raised by
     the smallest amount that makes the line an envelope within
     ``fit_slack``; for a clean exponential that adjustment is zero and
-    kappa comes out at 1.
+    kappa comes out at 1. A norm that reaches exactly zero is fitted on the
+    records before it; ``DecayFit.window`` is the fitted span.
 
     Parameters
     ----------
     traj : Trajectory
-    window : (t_start, t_end), default the full recorded span
     fit_slack : relative envelope slack, default 5%
     series : "e" for the estimation error norm, "z" for the state norm
 
@@ -344,8 +345,8 @@ def fit_decay(traj, window=None, fit_slack=FIT_SLACK, series="e"):
     Raises
     ------
     ValidationError
-        If the norm vanishes at the window start or fewer than two usable
-        points remain (degenerate fit).
+        If the trajectory has no records, the norm vanishes at the first
+        record, or fewer than two usable points remain (degenerate fit).
     """
     if series == "e":
         norms = traj.e_norm
@@ -354,30 +355,24 @@ def fit_decay(traj, window=None, fit_slack=FIT_SLACK, series="e"):
     else:
         raise ValidationError("must be 'e' or 'z', got %r" % (series,), field="series")
     t = traj.times
-    if window is None:
-        window = (float(t[0]), float(t[-1]))
-    t0, t1 = float(window[0]), float(window[1])
-    sel = np.nonzero((t >= t0) & (t <= t1))[0]
-    if sel.size == 0:
-        raise ValidationError("window contains no samples", field="window")
-    if norms[sel[0]] == 0.0:
-        raise ValidationError("norm vanishes at the window start", field="window")
+    if t.size == 0:
+        raise ValidationError("the trajectory has no samples", field="window")
+    if norms[0] == 0.0:
+        raise ValidationError("norm vanishes at the first record", field="window")
 
-    zeros = np.nonzero(norms[sel] == 0.0)[0]
-    if zeros.size:
-        sel = sel[: zeros[0]]  # fit the prefix before the first exact zero
-    if sel.size < 2:
+    zeros = np.nonzero(norms == 0.0)[0]
+    used = int(zeros[0]) if zeros.size else t.size  # the prefix before the first exact zero
+    if used < 2:
         raise ValidationError(
-            "degenerate fit: only %d usable sample(s) in window" % sel.size,
-            field="window",
+            "degenerate fit: only %d usable sample(s) in window" % used, field="window"
         )
 
-    tw = t[sel]
+    tw = t[:used]
     if not np.sum(tw * tw) > 0.0:  # polyfit would scale its time column by this norm, 0
         raise ValidationError(
             "degenerate fit: the squares of the window's times underflow to 0", field="window"
         )
-    logn = np.log(norms[sel])
+    logn = np.log(norms[:used])
     slope, intercept = np.polyfit(tw, logn, 1)
     predicted = slope * tw + intercept
     ss_res = float(np.sum((logn - predicted) ** 2))
@@ -397,7 +392,7 @@ def fit_decay(traj, window=None, fit_slack=FIT_SLACK, series="e"):
         alpha=alpha,
         r_squared=r_squared,
         window=(float(tw[0]), float(tw[-1])),
-        n_points=int(sel.size),
+        n_points=used,
         fit_slack=float(fit_slack),
     )
 

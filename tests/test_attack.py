@@ -299,13 +299,14 @@ def test_choose_pi_star_empty_set_takes_first_candidate(ref_system):
         assert np.array_equal(chosen, _candidates(seed, cl.n_p)[0])
 
 
-def test_choose_pi_star_no_candidate_clears(ref_system):
+def test_choose_pi_star_no_candidate_clears(ref_system, monkeypatch):
     plant, controller, cl = ref_system
     fset = attack.forbidden_set(plant, controller)
     best = max(min(s.margin(p) for s in fset) for p in _candidates(4, cl.n_p))
     # |cos| never exceeds 1, so no candidate clears a unit margin
+    monkeypatch.setattr(attack, "TOL_MARGIN", 1.0)
     with pytest.raises(SynthesisError, match="no sampled candidate clears") as exc:
-        attack.choose_pi_star(cl, fset, seed=4, tol_margin=1.0)
+        attack.choose_pi_star(cl, fset, seed=4)
     assert "(best %.3e)" % best in str(exc.value)
 
 

@@ -367,6 +367,33 @@ def test_malformed_config_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def _with(section, key, value):
+    """FEASIBLE_SYSTEM with ``data[section][key]`` replaced by ``value``."""
+    data = copy.deepcopy(FEASIBLE_SYSTEM)
+    data[section][key] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (_with("plant", "A_p", -2.0), "plant.A_p: expected a non-empty nested array"),
+        (_with("plant", "A_p", [[]]), "plant.A_p[0]: expected a non-empty row"),
+        (_with("plant", "A_p", [[float("nan")]]), "plant.A_p[0][0]: entries must be finite doubles"),
+        (_with("plant", "A_p", [[-2.0, 0.0]]), "plant.A_p: must be square with n_p >= 1"),
+        ([], "$: system definition must be a JSON object"),
+        (dict(FEASIBLE_SYSTEM, plant=[]), "plant: must be an object"),
+        (_with("controller", "D_c", "1"), "controller.D_c: expected a finite scalar"),
+    ],
+    ids=["scalar-matrix", "empty-row", "nan-entry", "non-square", "list", "list-section", "text-D_c"],
+)
+def test_malformed_system_fields_are_input_errors(tmp_path, capsys, payload, message):
+    cfg = _write_config(tmp_path, payload)
+    code = cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: %s" % message)
+
+
 def test_missing_config_is_input_error(tmp_path):
     code = cli.main(
         ["validate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]
@@ -715,6 +742,13 @@ def test_empty_vector_tokens_are_input_errors(tmp_path, capsys, argv, field):
     assert "input error: %s: expected comma-separated finite reals" % field in err
 
 
+@pytest.mark.parametrize("flag", ["z0", "zhat0"])
+def test_initial_state_of_the_wrong_length_is_input_error(tmp_path, capsys, flag):
+    argv = ["simulate", "--%s=1,2" % flag, "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "input error: %s: expected 4 components\n" % flag
+
+
 def test_empty_vector_flag_means_not_given(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["synthesize", "--out", str(out / "a"), "--pi="]) == cli.EXIT_INFEASIBLE
@@ -782,6 +816,9 @@ def test_malformed_bundle_is_input_error(tmp_path, capsys):
     del no_controller["system"]["controller"]
     long_pi = copy.deepcopy(bundle)
     long_pi["attack"]["pi"].append(1.0)
+    list_roa = dict(bundle, roa=[])
+    text_pi_star = copy.deepcopy(bundle)
+    text_pi_star["attack"]["pi_star"] = "x"
     # stored attack fields are recomputed from the system and the knobs
     long_pi_star = copy.deepcopy(bundle)
     long_pi_star["attack"]["pi_star"] = [1.0, 2.0]
@@ -821,6 +858,8 @@ def test_malformed_bundle_is_input_error(tmp_path, capsys):
         (_write_config(tmp_path, text_matrix, "text_matrix.json"), "bundle.system.plant.A_p[0][0]"),
         (_write_config(tmp_path, no_controller, "no_controller.json"), "bundle.system.controller"),
         (_write_config(tmp_path, long_pi, "long_pi.json"), "bundle.attack.pi:"),
+        (_write_config(tmp_path, list_roa, "list_roa.json"), "bundle.roa: expected a JSON object"),
+        (_write_config(tmp_path, text_pi_star, "text_pi_star.json"), "bundle.attack.pi_star: expected numbers"),
         (_write_config(tmp_path, long_pi_star, "long_pi_star.json"), "bundle.attack.pi_star"),
         (_write_config(tmp_path, edited_gamma_max, "gmax.json"), "bundle.attack.gamma_max"),
         (_write_config(tmp_path, nan_pi_star, "nan_pi_star.json"), "bundle.attack.pi_star:"),
@@ -854,6 +893,7 @@ OUTPUT_EDITS = {
     "observer.placement_error": lambda error: 1.0,
     "roa.c3": lambda c3: -1.0,
     "roa.feasible": lambda feasible: True,
+    "config.Y_scale": lambda y_scale: 0.3,  # a constant of the chain, stored and checked
 }
 
 

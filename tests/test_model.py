@@ -161,6 +161,12 @@ def test_shape_validation_messages():
             B_p=np.ones((2, 1)),
             Q_p=np.eye(2),
         )
+    with pytest.raises(ValidationError, match="must be square") as info:
+        model.ControllerModel(A_c=np.ones((1, 2)), B_c=[1.0], C_c=[1.0, 1.0], D_c=1.0)
+    assert info.value.field == "A_c"
+    with pytest.raises(ValidationError, match="finite scalar") as info:
+        model.ControllerModel(A_c=[[-1.0]], B_c=[1.0], C_c=[1.0], D_c=np.ones(2))
+    assert info.value.field == "D_c"
 
 
 def test_system_json_roundtrip(tmp_path, ref_system):

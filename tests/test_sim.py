@@ -466,13 +466,16 @@ def test_fit_decay_validation():
     traj = _synthetic_traj(times, np.exp(-times))
     with pytest.raises(ValidationError, match="'e' or 'z'"):
         sim.fit_decay(traj, series="x")
-    with pytest.raises(ValidationError, match="no samples"):
-        sim.fit_decay(traj, window=(5.0, 6.0))
+    with pytest.raises(ValidationError, match="no samples") as excinfo:
+        sim.fit_decay(_synthetic_traj(np.empty(0), np.empty(0)))
+    assert excinfo.value.field == "window"
     dead = _synthetic_traj(times, np.zeros(11))
     with pytest.raises(ValidationError, match="vanishes"):
         sim.fit_decay(dead)
     with pytest.raises(ValidationError, match="vanishes"):
         sim.fit_decay(traj, series="z")  # z stays identically zero here
+    with pytest.raises(ValidationError, match="only 1 usable sample"):
+        sim.fit_decay(_synthetic_traj(times[:3], np.array([1.0, 0.0, 0.5])))
 
 
 def test_fit_decay_on_times_whose_squares_underflow():
