@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .numerics import (
     solve_lyapunov,
     spectral_norm,
 )
+from .report import Record
 
 __all__ = [
     "ForbiddenSubspace",
@@ -56,8 +56,7 @@ N_CANDIDATES = 64
 _COND_DEFECTIVE = 1e8
 
 
-@dataclass(frozen=True)
-class ForbiddenSubspace:
+class ForbiddenSubspace(Record):
     """One unobservability constraint: pi must not be orthogonal to all normals.
 
     A real eigenpair contributes one normal (a hyperplane of bad pi); a
@@ -90,12 +89,11 @@ class ForbiddenSubspace:
         return max(abs(float(pi @ v)) / np.linalg.norm(v) for v in self.normals)
 
 
-@dataclass(frozen=True)
-class ForbiddenSet:
+class ForbiddenSet(Record):
     """All forbidden subspaces plus notes about vacuous (dropped) constraints."""
 
     subspaces: tuple
-    notes: tuple = field(default_factory=tuple)
+    notes: tuple = ()
 
     def __iter__(self):
         return iter(self.subspaces)
@@ -195,8 +193,7 @@ def forbidden_set(plant, controller) -> ForbiddenSet:
     )
 
 
-@dataclass(frozen=True)
-class ObservabilityResult:
+class ObservabilityResult(Record):
     observable: bool
     margin: float
 
@@ -346,8 +343,7 @@ def gamma_max(A, B, Q_p, pi_star, Y):
     )
 
 
-@dataclass(frozen=True)
-class AttackDesign:
+class AttackDesign(Record):
     """A fully scaled attack: direction, scaling, induced pair, and record."""
 
     pi_star: np.ndarray

@@ -28,7 +28,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import _check_steps
-from .report import _log, jsonable, read_json
+from .report import Record, _log, jsonable, read_json
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -57,8 +56,7 @@ EXIT_MISMATCH = 5
 Y_SCALE = 0.2
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """Validated knobs for one pipeline run.
 
     Each field is named after the argparse dest of its flag, so the parsed
@@ -96,7 +94,7 @@ class RunConfig:
             raise ValidationError(
                 "must be a nonnegative integer, got %r" % self.seed, field="seed"
             )
-        self.seed = int(self.seed)
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 def _parse_vector(text, name):

@@ -15,13 +15,12 @@ controller spectra are disjoint and the coupling block B_p C_c is nonzero;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 from .numerics import TOL_HURWITZ, _asymmetry_bound, eig, spectral_abscissa, spectral_norm
-from .report import Reported, read_json
+from .report import Record, Reported, read_json
 
 __all__ = [
     "PlantModel",
@@ -47,8 +46,7 @@ def _as_matrix(value, shape, field):
     return M
 
 
-@dataclass(frozen=True)
-class PlantModel:
+class PlantModel(Record):
     """Linear plant with quadratic scalar output y = x_p' Q_p x_p."""
 
     A_p: np.ndarray
@@ -83,8 +81,7 @@ class PlantModel:
         return self.A_p.shape[0]
 
 
-@dataclass(frozen=True)
-class ControllerModel:
+class ControllerModel(Record):
     """SISO dynamic output feedback u = C_c x_c + D_c y."""
 
     A_c: np.ndarray
@@ -112,8 +109,7 @@ class ControllerModel:
         return self.A_c.shape[0]
 
 
-@dataclass(frozen=True)
-class ClosedLoop:
+class ClosedLoop(Record):
     """Assembled loop zdot = A z + B z'Qz. Built by :func:`assemble`."""
 
     A: np.ndarray
@@ -176,7 +172,6 @@ def assemble(plant: PlantModel, controller: ControllerModel) -> ClosedLoop:
     return ClosedLoop(A=A, B=B, Q=Q, n_p=n_p, n_c=n_c)
 
 
-@dataclass(frozen=True)
 class AssumptionReport(Reported):
     """Outcome of the standing-assumption checks with numeric witnesses."""
 
@@ -187,7 +182,7 @@ class AssumptionReport(Reported):
     bpcc_nonzero: bool
     bpcc_norm: float
     qp_symmetric: bool
-    all_passed: bool = field(init=False)
+    all_passed: bool = False  # set by __post_init__ from the four checks
 
     def __post_init__(self):
         object.__setattr__(

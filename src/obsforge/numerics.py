@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .report import Record
 
 __all__ = [
     "EigenPairs",
@@ -96,8 +96,7 @@ def _check_steps(dt, T, stride, T_field="T"):
     return int(round(steps))
 
 
-@dataclass(frozen=True)
-class EigenPairs:
+class EigenPairs(Record):
     """Eigenvalues with column-paired unit eigenvectors.
 
     ``values[i]`` goes with ``vectors[:, i]``. Complex eigenvalues of real

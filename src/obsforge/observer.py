@@ -15,8 +15,6 @@ and the paper's right-hand sides written out one equation at a time
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SynthesisError, ValidationError
@@ -26,6 +24,7 @@ from .numerics import (
     spectral_abscissa,
     spectrum_distance,
 )
+from .report import Record
 
 __all__ = [
     "ObserverDesign",
@@ -44,8 +43,7 @@ __all__ = [
 PLACEMENT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class ObserverDesign:
+class ObserverDesign(Record):
     L: np.ndarray  # n x 1 innovation gain
     desired_poles: np.ndarray
     placed_poles: np.ndarray
@@ -177,8 +175,7 @@ def error_rhs(closed_loop, design, obs, z, e):
     )
 
 
-@dataclass(frozen=True)
-class AugmentedJacobian:
+class AugmentedJacobian(Record):
     """Origin Jacobian of the coupled (z, e) system and its triangular twin."""
 
     J_phi: np.ndarray
@@ -219,8 +216,7 @@ def augmented_jacobian(closed_loop, design, obs) -> AugmentedJacobian:
     return AugmentedJacobian(J_phi=J_phi, J_tilde=J_tilde, T=T)
 
 
-@dataclass(frozen=True)
-class CoupledField:
+class CoupledField(Record):
     """Vector field of the coupled system over columns S = [z; zhat].
 
     In factor form sdot = J_tilde s + K (C s)**2, squared entrywise, where

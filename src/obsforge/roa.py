@@ -19,7 +19,6 @@ one batch in the calling process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +51,6 @@ DEFAULT_DELTA_FRACTION = 0.1
 BLOWUP_NORM = 1e6
 
 
-@dataclass(frozen=True)
 class RoaEstimate(Reported):
     """Certificate data from :func:`certify`; ``feasible`` is c2 > 0 with every
     constant and the level inside double range, never an exception."""
@@ -129,7 +127,6 @@ def _per_sample(**columns):
     )
 
 
-@dataclass(frozen=True)
 class DecayReport(Reported):
     n_samples: int
     seed: int
@@ -257,7 +254,6 @@ def verify_decay(
     )
 
 
-@dataclass(frozen=True)
 class BoxReport(Reported):
     n_samples: int
     seed: int

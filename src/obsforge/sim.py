@@ -41,14 +41,13 @@ Monte Carlo checks pass folds that keep only O(samples) state.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
 from .numerics import _check_steps
 from .observer import coupled_field
-from .report import Reported
+from .report import Record, Reported
 
 __all__ = [
     "Trajectory",
@@ -66,8 +65,7 @@ FIT_SLACK = 0.05
 NORM_LIMIT = 1e9
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Recorded run of the coupled system.
 
     ``e`` is stored as the exact float difference z_hat - z and ``y_tilde``
@@ -397,7 +395,6 @@ def fit_decay(traj, fit_slack=FIT_SLACK, series="e"):
     )
 
 
-@dataclass(frozen=True)
 class DecayFit(Reported):
     """Envelope norm(t) <= kappa exp(-alpha t) norm(0) (1 + fit_slack)."""
 

@@ -209,6 +209,13 @@ def test_scaling_preserves_stability_sampled(make_random_system):
                 assert attack.is_observable(F, H).observable
 
 
+def test_is_observable_zero_row():
+    # no output at all: the observability matrix is zero, and the margin is 0, not nan
+    result = attack.is_observable(np.diag([-1.0, -2.0]), np.zeros((1, 2)))
+    assert result == attack.ObservabilityResult(observable=False, margin=0.0)
+    assert bool(result) is False
+
+
 def test_build_design_reference_frozen(ref_design):
     assert ref_design.gamma_max == pytest.approx(0.8500422425763366, rel=1e-12)
     assert ref_design.gamma == pytest.approx(0.9 * 0.8500422425763366, rel=1e-12)

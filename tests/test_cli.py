@@ -251,7 +251,8 @@ def test_validate_loads_only_its_layers(tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
     assert {"obsforge.model", "obsforge.refcase"} <= loaded
     assert not {
-        "obsforge.attack", "obsforge.observer", "obsforge.roa", "obsforge.sim", "logging"
+        "obsforge.attack", "obsforge.observer", "obsforge.roa", "obsforge.sim", "logging",
+        "dataclasses",
     } & loaded
 
 
@@ -295,7 +296,9 @@ def test_cli_flow_does_not_import_scipy_optimize(tmp_path, monkeypatch):
     x86 host, several times all of ``obsforge.cli``, and ``scipy.signal``
     1.2-1.3 s there. Nor does it load ``numpy.ma``, which the first
     ``np.unique`` call in a process imports (about 9 ms and 1.9 MB there),
-    or ``logging`` (about 5 ms there) without OBS_FORGE_LOG.
+    ``logging`` (about 5 ms there) without OBS_FORGE_LOG, or
+    ``dataclasses``: the records are ``report.Record`` classes, which
+    generate no methods at import.
     """
     monkeypatch.delenv("OBS_FORGE_LOG", raising=False)
     out = str(tmp_path / "out")
@@ -310,7 +313,7 @@ def test_cli_flow_does_not_import_scipy_optimize(tmp_path, monkeypatch):
             ["reproduce-paper", "--out", out],
         ],
         "print(codes, [name for name in sys.modules"
-        " if name.split('.')[0] in ('scipy', 'logging')"
+        " if name.split('.')[0] in ('scipy', 'logging', 'dataclasses')"
         " or name.split('.')[:2] == ['numpy', 'ma']])",
     ])
     proc = _run_clean(["-c", script])

@@ -6,7 +6,6 @@ import os
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ import pytest
 from obsforge import attack, observer, roa, sim
 from obsforge.errors import SynthesisError, ValidationError
 from obsforge.numerics import is_hurwitz
+from records import replace
 
 
 def test_lyapunov_pairs_solve_certificate_equations(cert_instance):

@@ -1,6 +1,5 @@
 """Tests for the RK4 integrator, the decay fit, and the trajectory exports."""
 
-import dataclasses
 import types
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 from obsforge import attack, observer, refcase, roa, sim
 from obsforge.errors import DivergenceError, ValidationError
+from records import replace
 
 
 def _reference_run(ref_system, ref_design, ref_observer, dt=1e-3, T=5.0, stride=10):
@@ -493,7 +493,7 @@ def test_trajectory_csv_roundtrip(tmp_path, ref_system, ref_design, ref_observer
     traj = _reference_run(ref_system, ref_design, ref_observer, T=0.02, stride=2)
     a = traj.a.copy()
     a[0] = -0.0
-    traj = dataclasses.replace(traj, a=a)
+    traj = replace(traj, a=a)
     path = tmp_path / "traj.csv"
     sim.trajectory_to_csv(traj, path)
     with open(path, encoding="utf-8") as fh:
