@@ -19,7 +19,7 @@ Modules
 -------
 model      plant/controller containers, closed-loop assembly, assumptions
 attack     forbidden projection directions, scaling bound, attack design
-observer   gain placement on the induced pair, rhs fields, Jacobians
+observer   gain placement on the induced pair, coupled field, Jacobians
 roa        Lyapunov certificate, constants, Monte Carlo verification
 sim        fixed-step integration, decay fits, CSV/plot emission
 numerics   eigen/Lyapunov/placement primitives shared by the above

@@ -40,7 +40,6 @@ __all__ = [
     "choose_pi_star",
     "gamma_max",
     "build_design",
-    "attack_signal",
 ]
 
 #: relative sigma_min threshold deciding observability
@@ -62,7 +61,8 @@ class ForbiddenSubspace(Record):
     A real eigenpair contributes one normal (a hyperplane of bad pi); a
     complex-conjugate pair contributes the real and imaginary parts of its
     complex normal, cutting the bad set down to codimension 2. ``degenerate``
-    marks subspaces that lost a vanishing normal.
+    marks subspaces that lost a vanishing normal. :func:`_clearances` scores
+    a direction against the normals.
     """
 
     normals: tuple
@@ -75,18 +75,6 @@ class ForbiddenSubspace(Record):
     def tag(self):
         name = "PlantEig" if self.source == "plant" else "ControllerEig"
         return "%s(%d)" % (name, self.index)
-
-    def margin(self, pi):
-        """Angular clearance of pi: max over normals of |cos(pi, v)|.
-
-        pi lies IN the subspace exactly when it is orthogonal to every
-        normal, so the max is the right aggregation.
-        """
-        pi = np.asarray(pi, dtype=float)
-        if not pi.any():
-            return 0.0
-        pi = _unit(pi)  # the clearance is scale-invariant; a huge pi must not overflow
-        return max(abs(float(pi @ v)) / np.linalg.norm(v) for v in self.normals)
 
 
 class ForbiddenSet(Record):
@@ -236,10 +224,11 @@ def _unit(pi):
 def _clearances(forbidden, directions):
     """Angular clearance of each direction from each subspace, in one pass.
 
-    Returns an (m, len(forbidden)) array whose entry (i, j) is
-    ``forbidden.subspaces[j].margin(directions[i])`` up to rounding, for
-    nonzero directions: |cos| against every stacked normal, then the max
-    within each subspace.
+    Returns an (m, len(forbidden)) array whose entry (i, j) is the max over
+    the normals v of subspace j of |cos(directions[i], v)|: |cos| against
+    every stacked normal, then the max within each subspace. A direction
+    lies IN a subspace exactly when it is orthogonal to every normal, so
+    the max is the right aggregation. Directions must be nonzero.
     """
     P = np.atleast_2d(np.asarray(directions, dtype=float))
     subspaces = list(forbidden)
@@ -415,9 +404,3 @@ def build_design(closed_loop, pi_star=None, gamma_fraction=0.9, Y=None, seed=0) 
         forbidden=forbidden,
         observability_margin=obs.margin,
     )
-
-
-def attack_signal(design, zhat):
-    """Scalar attack value a(zhat) = Hbar zhat = 2 pi' Q_p zhat_p."""
-    zhat = np.asarray(zhat, dtype=float)
-    return float(design.Hbar[0] @ zhat)

@@ -122,11 +122,6 @@ class ClosedLoop(Record):
     def n(self):
         return self.n_p + self.n_c
 
-    def output(self, z):
-        """True sensor value h(z) = z'Qz; depends on the plant substate only."""
-        z = np.asarray(z, dtype=float)
-        return float(z @ self.Q @ z)
-
     # block accessors, exact views of the assembly
     @property
     def A_p(self):

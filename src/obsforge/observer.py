@@ -7,10 +7,9 @@ Placement happens on (Fbar, Hbar) with the combined gain Ltilde = B + L,
 then L = Ltilde - B is recovered.
 
 Also provides the augmented Jacobian pair used for the spectrum split
-sigma(J_phi) = sigma(A) u sigma(Fbar + (B+L) Hbar), the coupled field that
-the integrator and the certificate checks evaluate (linear part J_tilde),
-and the paper's right-hand sides written out one equation at a time
-(plant under attack, observer, estimation error) as its reference.
+sigma(J_phi) = sigma(A) u sigma(Fbar + (B+L) Hbar), and the coupled field
+that the integrator and the certificate checks evaluate (linear part
+J_tilde).
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ __all__ = [
     "default_poles",
     "design_gain",
     "gain_from_vector",
-    "plant_rhs",
-    "observer_rhs",
-    "error_rhs",
     "augmented_jacobian",
     "coupled_field",
 ]
@@ -133,48 +129,6 @@ def gain_from_vector(design, B, L, desired_poles=None) -> ObserverDesign:
     )
 
 
-def plant_rhs(closed_loop, design, z, zhat):
-    """Attacked loop: dz/dt = A z + B (z'Qz + a(zhat))."""
-    z = np.asarray(z, dtype=float)
-    zhat = np.asarray(zhat, dtype=float)
-    a = float(design.Hbar[0] @ zhat)
-    return closed_loop.A @ z + closed_loop.B[:, 0] * (z @ closed_loop.Q @ z + a)
-
-
-def observer_rhs(closed_loop, design, obs, zhat, ytilde):
-    """Observer: dzhat/dt = A zhat + B m(zhat) + L (m(zhat) - ytilde).
-
-    m(zhat) = zhat'Q zhat + 2 Hbar zhat is the output model the adversary
-    fits to the corrupted measurement; the factor 2 comes from the injected
-    attack showing up both in the measurement and in the model gradient.
-    """
-    zhat = np.asarray(zhat, dtype=float)
-    m = zhat @ closed_loop.Q @ zhat + 2.0 * float(design.Hbar[0] @ zhat)
-    return (
-        closed_loop.A @ zhat
-        + closed_loop.B[:, 0] * m
-        + obs.L[:, 0] * (m - float(ytilde))
-    )
-
-
-def error_rhs(closed_loop, design, obs, z, e):
-    """Estimation error: de/dt = (Fbar+L Hbar) e + (B+L) Hbar z + (B+L)(2z'Qe + e'Qe).
-
-    Algebraically identical to observer_rhs - plant_rhs under zhat = z + e
-    and a consistent corrupted measurement; the subtraction-free form keeps
-    the linear error matrix Fbar + L Hbar explicit.
-    """
-    z = np.asarray(z, dtype=float)
-    e = np.asarray(e, dtype=float)
-    BL = closed_loop.B[:, 0] + obs.L[:, 0]
-    lin = (design.Fbar + obs.L @ design.Hbar) @ e
-    return (
-        lin
-        + BL * float(design.Hbar[0] @ z)
-        + BL * (2.0 * (z @ closed_loop.Q @ e) + e @ closed_loop.Q @ e)
-    )
-
-
 class AugmentedJacobian(Record):
     """Origin Jacobian of the coupled (z, e) system and its triangular twin."""
 
@@ -239,12 +193,16 @@ class CoupledField(Record):
 
 
 def coupled_field(closed_loop, design, obs) -> CoupledField:
-    """The coupled field of a design, equal to [plant_rhs; observer_rhs].
+    """The coupled field of a design: the attacked loop and its observer,
 
-    The observer sees the corrupted measurement ytilde = z'Qz + Hbar zhat
-    rebuilt from the same (z, zhat), which gives the closed form of
-    :class:`CoupledField`. One ``eigh`` of Q_p gives its factors; every
-    eigenpair is kept, so no rank decision is made.
+        zdot    = A z + B (z'Qz + Hbar zhat)
+        zhatdot = A zhat + B m(zhat) + L (m(zhat) - ytilde),
+
+    with the output model m(zhat) = zhat'Q zhat + 2 Hbar zhat that the
+    adversary fits to the corrupted measurement. The observer sees ytilde =
+    z'Qz + Hbar zhat rebuilt from the same (z, zhat), which gives the closed
+    form of :class:`CoupledField`. One ``eigh`` of Q_p gives its factors;
+    every eigenpair is kept, so no rank decision is made.
     """
     n, n_p = closed_loop.n, closed_loop.n_p
     b = closed_loop.B[:, 0]

@@ -45,6 +45,7 @@ __all__ = [
     "certify",
 ]
 
+#: largest decay margin (Vdot + delta V)/V a verify_decay sample may show
 TOL_DECAY = 1e-9
 DEFAULT_DELTA_FRACTION = 0.1
 #: state norm past which a Monte Carlo sample counts as diverged
@@ -139,10 +140,6 @@ class DecayReport(Reported):
     n_diverged: int
     per_sample: tuple
 
-    @property
-    def all_satisfied(self):
-        return self.fraction_satisfied == 1.0
-
 
 def verify_decay(
     closed_loop,
@@ -154,18 +151,17 @@ def verify_decay(
     dt=1e-3,
     horizon=2.0,
     stride=10,
-    tol_decay=TOL_DECAY,
 ):
-    """Empirically check Vdot <= -delta V + tol V inside the certified set.
+    """Empirically check Vdot <= -delta V + TOL_DECAY V inside the certified set.
 
     Initial (z0, e0) pairs are drawn uniformly in Omega_c (per-sample
     generators derived from the master seed by index, so the report is
     scheduling independent), trajectories integrated, and Vdot evaluated
     analytically from the vector field at every recorded instant. The
     certificate guarantees satisfaction; a violation means a tolerance or
-    implementation defect, which is exactly what this check hunts.
-    Per-sample divergence (norm above :data:`BLOWUP_NORM`) is recorded in
-    the report, never raised.
+    implementation defect, which is exactly what this check hunts. The
+    bound TOL_DECAY is read at call time. Per-sample divergence (norm above
+    :data:`BLOWUP_NORM`) is recorded in the report, never raised.
     """
     if not estimate.feasible or estimate.level is None or estimate.delta is None:
         raise ValidationError(
@@ -230,17 +226,17 @@ def verify_decay(
         norm_limit=BLOWUP_NORM, fold=fold,
     )
 
-    # the margin should stay <= tol_decay, and is 0.0 without any V > 0 record
+    # the margin should stay <= TOL_DECAY, and is 0.0 without any V > 0 record
     diverged = np.isfinite(blowup)
     margin = np.where(any_pos, margin, 0.0)
     inside &= ~diverged
-    satisfied = ~diverged & (margin <= tol_decay)
+    satisfied = ~diverged & (margin <= TOL_DECAY)
     return DecayReport(
         n_samples=n_samples,
         seed=seed,
         delta=estimate.delta,
         level=estimate.level,
-        tol_decay=tol_decay,
+        tol_decay=TOL_DECAY,
         fraction_satisfied=int(satisfied.sum()) / n_samples if n_samples else 1.0,
         # NaN margins never win, as under Python's max
         worst_margin=float(np.fmax.reduce(margin, initial=-math.inf)) if n_samples else 0.0,
@@ -263,10 +259,6 @@ class BoxReport(Reported):
     max_transient_norm: float
     n_diverged: int
     per_sample: tuple
-
-    @property
-    def all_converged(self):
-        return self.fraction_converged == 1.0
 
 
 def monte_carlo_box_check(

@@ -61,6 +61,7 @@ __all__ = [
 
 DEFAULT_DT = 1e-3
 DEFAULT_T = 5.0
+#: relative slack of the envelope fit_decay fits
 FIT_SLACK = 0.05
 NORM_LIMIT = 1e9
 
@@ -79,9 +80,6 @@ class Trajectory(Record):
     y: np.ndarray
     y_tilde: np.ndarray
     a: np.ndarray
-
-    def __len__(self):
-        return self.times.shape[0]
 
     @property
     def e_norm(self):
@@ -320,20 +318,20 @@ def integrate_batch(
     return times, states[:, :, :n], states[:, :, n:], blowup
 
 
-def fit_decay(traj, fit_slack=FIT_SLACK, series="e"):
+def fit_decay(traj, series="e"):
     """Exponential envelope fit of a trajectory norm.
 
     Least squares on the log of the chosen norm series over every record
     gives the rate alpha (minus the slope). The intercept is then raised by
-    the smallest amount that makes the line an envelope within
-    ``fit_slack``; for a clean exponential that adjustment is zero and
-    kappa comes out at 1. A norm that reaches exactly zero is fitted on the
-    records before it; ``DecayFit.window`` is the fitted span.
+    the smallest amount that makes the line an envelope within the relative
+    slack FIT_SLACK, read at call time; for a clean exponential that
+    adjustment is zero and kappa comes out at 1. A norm that reaches
+    exactly zero is fitted on the records before it; ``DecayFit.window`` is
+    the fitted span.
 
     Parameters
     ----------
     traj : Trajectory
-    fit_slack : relative envelope slack, default 5%
     series : "e" for the estimation error norm, "z" for the state norm
 
     Returns
@@ -378,7 +376,7 @@ def fit_decay(traj, fit_slack=FIT_SLACK, series="e"):
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
 
     # raise the line just enough to dominate the window within the slack
-    excess = float(np.max(logn - predicted)) - np.log1p(fit_slack)
+    excess = float(np.max(logn - predicted)) - np.log1p(FIT_SLACK)
     if excess > 0.0:
         intercept += excess
 
@@ -391,7 +389,7 @@ def fit_decay(traj, fit_slack=FIT_SLACK, series="e"):
         r_squared=r_squared,
         window=(float(tw[0]), float(tw[-1])),
         n_points=used,
-        fit_slack=float(fit_slack),
+        fit_slack=FIT_SLACK,
     )
 
 

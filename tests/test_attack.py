@@ -5,8 +5,14 @@ import pytest
 import scipy.linalg
 
 from obsforge import attack, model
-from obsforge.errors import ConditioningWarning, SynthesisError, ValidationError
+from obsforge.errors import (
+    AssumptionError,
+    ConditioningWarning,
+    SynthesisError,
+    ValidationError,
+)
 from obsforge.numerics import EigenPairs, is_hurwitz
+from paper_equations import attack_signal, clearance
 
 
 def _pair(cl, pi):
@@ -62,6 +68,39 @@ def test_forbidden_zero_qp_vacuous():
     assert all("vacuous" in note for note in fset.notes)
 
 
+def test_forbidden_complex_pair_losing_a_normal_is_degenerate():
+    # Q_p = diag(1, 0) zeroes one of the two normals of the complex pair
+    plant = model.PlantModel(
+        A_p=np.array([[-1.0, 2.0], [-1.0, -1.0]]),
+        B_p=np.array([[0.0], [1.0]]),
+        Q_p=np.diag([1.0, 0.0]),
+    )
+    controller = model.ControllerModel(
+        A_c=np.array([[-3.0]]), B_c=np.array([[1.0]]), C_c=np.array([[1.0]]), D_c=0.0
+    )
+    fset = attack.forbidden_set(plant, controller)
+    assert [(s.tag, s.degenerate, len(s.normals)) for s in fset] == [
+        ("PlantEig(0)", True, 1),
+        ("ControllerEig(0)", False, 1),
+    ]
+    assert len(fset.notes) == 1
+    assert "plant eigenpair 0" in fset.notes[0]
+    assert "one normal vanished; constraint degenerates to a single hyperplane" in fset.notes[0]
+    design = attack.build_design(model.assemble(plant, controller))
+    assert design.forbidden.notes == fset.notes
+
+
+def test_forbidden_shared_eigenvalue_is_assumption_error():
+    plant = model.PlantModel(
+        A_p=np.diag([-1.0, -2.0]), B_p=np.array([[1.0], [1.0]]), Q_p=np.eye(2)
+    )
+    controller = model.ControllerModel(
+        A_c=np.array([[-1.0]]), B_c=np.array([[1.0]]), C_c=np.array([[1.0]]), D_c=1.0
+    )
+    with pytest.raises(AssumptionError, match="coincides with a plant eigenvalue"):
+        attack.forbidden_set(plant, controller)
+
+
 def test_forbidden_defective_matrix_warns():
     plant = model.PlantModel(
         A_p=np.array([[-1.0, 1.0], [0.0, -1.0]]),  # Jordan block
@@ -105,9 +144,11 @@ def test_margin_semantics():
     sub = attack.ForbiddenSubspace(
         normals=(np.array([1.0, 0.0]),), source="plant", index=0, eigenvalue=-1.0
     )
-    assert sub.margin([1.0, 0.0]) == pytest.approx(1.0)
-    assert sub.margin([0.0, 1.0]) == pytest.approx(0.0)
-    assert sub.margin([0.0, 0.0]) == 0.0
+    got = attack._clearances(attack.ForbiddenSet(subspaces=(sub,)), [[1.0, 0.0], [0.0, 1.0]])
+    assert got.shape == (2, 1)
+    assert got[:, 0] == pytest.approx([1.0, 0.0])
+    # choose_pi_star refuses a zero pi before scoring it; the oracle gives it 0
+    assert clearance(sub, [0.0, 0.0]) == 0.0
 
 
 def test_pbh_vs_bruteforce_sampled(make_random_system):
@@ -130,7 +171,7 @@ def test_pbh_vs_bruteforce_sampled(make_random_system):
                 assert not attack.is_observable(*_pair(cl, pi_in)).observable
             for _ in range(3):
                 pi = rng.standard_normal(plant.n_p)
-                if fset and min(s.margin(pi) for s in fset) < 1e-3:
+                if fset and min(clearance(s, pi) for s in fset) < 1e-3:
                     continue
                 assert attack.is_observable(*_pair(cl, pi)).observable
 
@@ -157,7 +198,7 @@ def test_choose_pi_star_seeded_and_clear(ref_system):
     a = attack.choose_pi_star(cl, fset, seed=9)
     b = attack.choose_pi_star(cl, fset, seed=9)
     assert np.array_equal(a, b)
-    assert min(sub.margin(a) for sub in fset) > attack.TOL_MARGIN
+    assert min(clearance(sub, a) for sub in fset) > attack.TOL_MARGIN
 
 
 def test_gamma_max_reference_frozen(ref_system):
@@ -240,16 +281,18 @@ def test_build_design_rejects_a_seed_that_is_no_index(ref_system, seed):
     assert info.value.field == "seed"
 
 
-def test_attack_signal_row_semantics(ref_design):
+def test_attack_signal_row_semantics(ref_system, ref_design):
+    # the design's Hbar row carries the paper's attack a = 2 pi' Q_p zhat_p
+    plant, _, _ = ref_system
     rng = np.random.default_rng(2)
     for _ in range(10):
         zhat = rng.standard_normal(4)
-        a = attack.attack_signal(ref_design, zhat)
-        assert a == pytest.approx(float(ref_design.Hbar[0] @ zhat), abs=1e-15)
-        assert attack.attack_signal(ref_design, 2.0 * zhat) == pytest.approx(2.0 * a, rel=1e-12)
+        a = attack_signal(ref_design, zhat)
+        assert a == pytest.approx(2.0 * ref_design.pi @ plant.Q_p @ zhat[: plant.n_p], rel=1e-12)
+        assert attack_signal(ref_design, 2.0 * zhat) == pytest.approx(2.0 * a, rel=1e-12)
     # the attack reads only the plant part of the estimate
     only_ctrl = np.array([0.0, 0.0, 1.3, -0.7])
-    assert attack.attack_signal(ref_design, only_ctrl) == 0.0
+    assert attack_signal(ref_design, only_ctrl) == 0.0
 
 
 def test_induced_pair_construction(ref_system, ref_design):
@@ -280,12 +323,12 @@ def test_clearance_kernel_matches_margin_loop(make_random_system, monkeypatch):
                 for seed in (0, 1, 7, 123):
                     samples = _candidates(seed, plant.n_p)
                     per_sub = attack._clearances(fset, samples)
-                    loop = np.array([[s.margin(p) for s in fset] for p in samples])
+                    loop = np.array([[clearance(s, p) for s in fset] for p in samples])
                     np.testing.assert_allclose(per_sub, loop, rtol=0, atol=1e-14)
                     if plant.n_p == 2:  # the clearance of a huge pi is its direction's
                         unit = np.array([1.0, -3.0]) / np.sqrt(10.0)
                         np.testing.assert_allclose(
-                            [s.margin([1e300, -3e300]) for s in fset],
+                            [clearance(s, [1e300, -3e300]) for s in fset],
                             attack._clearances(fset, unit)[0],
                             rtol=0, atol=1e-14,
                         )
@@ -309,7 +352,7 @@ def test_choose_pi_star_empty_set_takes_first_candidate(ref_system):
 def test_choose_pi_star_no_candidate_clears(ref_system, monkeypatch):
     plant, controller, cl = ref_system
     fset = attack.forbidden_set(plant, controller)
-    best = max(min(s.margin(p) for s in fset) for p in _candidates(4, cl.n_p))
+    best = max(min(clearance(s, p) for s in fset) for p in _candidates(4, cl.n_p))
     # |cos| never exceeds 1, so no candidate clears a unit margin
     monkeypatch.setattr(attack, "TOL_MARGIN", 1.0)
     with pytest.raises(SynthesisError, match="no sampled candidate clears") as exc:
@@ -329,7 +372,7 @@ def test_choose_pi_star_names_first_violated_subspace():
     first, second = fset.subspaces[:2]
     # orthogonal to the single normal of each of the first two subspaces
     pi = np.cross(first.normals[0], second.normals[0])
-    inside = [s.tag for s in fset if s.margin(pi) <= attack.TOL_MARGIN]
+    inside = [s.tag for s in fset if clearance(s, pi) <= attack.TOL_MARGIN]
     assert inside == [first.tag, second.tag]
     with pytest.raises(ValidationError) as exc:
         attack.choose_pi_star(cl, fset, pi_star=pi)
@@ -338,18 +381,23 @@ def test_choose_pi_star_names_first_violated_subspace():
     assert second.tag not in msg
 
 
-def test_choose_pi_star_does_not_call_margin(ref_system, monkeypatch):
+def test_choose_pi_star_scores_in_one_pass(ref_system, monkeypatch):
     # the search scores every candidate in one array pass, never per subspace
     plant, controller, cl = ref_system
     fset = attack.forbidden_set(plant, controller)
     seeded = attack.choose_pi_star(cl, fset, seed=9)
     supplied = attack.choose_pi_star(cl, fset, pi_star=np.array([1.0, -3.0]))
 
-    def fail(self, pi):
-        raise AssertionError("ForbiddenSubspace.margin called")
+    calls = []
+    clearances = attack._clearances
 
-    monkeypatch.setattr(attack.ForbiddenSubspace, "margin", fail)
+    def counted(forbidden, directions):
+        calls.append(np.atleast_2d(directions).shape[0])
+        return clearances(forbidden, directions)
+
+    monkeypatch.setattr(attack, "_clearances", counted)
     assert np.array_equal(attack.choose_pi_star(cl, fset, seed=9), seeded)
     assert np.array_equal(
         attack.choose_pi_star(cl, fset, pi_star=np.array([1.0, -3.0])), supplied
     )
+    assert calls == [attack.N_CANDIDATES, 1]

@@ -18,6 +18,7 @@ import pytest
 import obsforge
 from obsforge import cli, observer, refcase, roa
 from obsforge.errors import NumericError, ValidationError
+from obsforge.report import Record
 
 # obsforge.__all__: the submodules, the layers' public names, the version
 PUBLIC_API = {
@@ -27,12 +28,12 @@ PUBLIC_API = {
     "CoupledField", "DecayFit", "DecayReport", "DivergenceError", "ForbiddenSet",
     "ForbiddenSubspace", "NumericError", "ObservabilityResult", "ObserverDesign",
     "PlantModel", "RoaEstimate", "SynthesisError", "Trajectory", "ValidationError",
-    "__version__", "assemble", "attack_signal", "augmented_jacobian",
+    "__version__", "assemble", "augmented_jacobian",
     "build_design", "certify", "choose_pi_star", "coupled_field", "default_poles",
-    "design_gain", "error_rhs", "fit_decay", "forbidden_set",
+    "design_gain", "fit_decay", "forbidden_set",
     "gain_from_vector", "gamma_max", "integrate", "integrate_batch",
-    "is_observable", "load_system", "monte_carlo_box_check", "observer_rhs",
-    "plant_rhs", "system_from_dict", "trajectory_to_csv", "validate_assumptions",
+    "is_observable", "load_system", "monte_carlo_box_check",
+    "system_from_dict", "trajectory_to_csv", "validate_assumptions",
     "verify_decay", "write_gnuplot_stub",
 }
 
@@ -267,7 +268,7 @@ def test_logging_loads_only_when_lines_are_asked_for(tmp_path, monkeypatch):
 
 
 def test_public_api_is_pinned():
-    assert len(obsforge.__all__) == len(PUBLIC_API) == 57
+    assert len(obsforge.__all__) == len(PUBLIC_API) == 53
     assert set(obsforge.__all__) == PUBLIC_API
     for name in PUBLIC_API - {"__version__"}:
         value = getattr(obsforge, name)
@@ -275,6 +276,36 @@ def test_public_api_is_pinned():
             assert value is sys.modules["obsforge." + name], name
         else:  # the object its defining module binds to that name
             assert value is getattr(sys.modules[value.__module__], name), name
+
+
+def test_public_api_is_read_outside_the_tests():
+    # each layer's public name, and each public method or property of its
+    # records that is not a field, is read by the package, a demo or the
+    # benchmark; code only the tests read belongs with the tests
+    root = Path(__file__).resolve().parent.parent
+    read = set()
+    for d in ("src/obsforge", "demos", "perfbench"):
+        for path in (root / d).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    unread = []
+    for layer in obsforge._LAYERS:
+        module = getattr(obsforge, layer)
+        for name in module.__all__:
+            if name not in read:
+                unread.append(name)
+            value = getattr(module, name)
+            if isinstance(value, type) and issubclass(value, Record):
+                unread += [
+                    "%s.%s" % (name, attr) for attr, member in vars(value).items()
+                    if not attr.startswith("_") and attr not in value._fields
+                    and (callable(member) or isinstance(member, property))
+                    and attr not in read
+                ]
+    assert not unread, "read only by the tests: %s" % ", ".join(unread)
 
 
 def test_wildcard_import_binds_the_public_api():

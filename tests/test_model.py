@@ -6,6 +6,7 @@ import pytest
 
 from obsforge import model
 from obsforge.errors import ValidationError
+from paper_equations import output
 
 
 def test_assemble_reference_blocks(ref_system):
@@ -29,7 +30,7 @@ def test_output_reads_plant_substate(ref_system):
     for _ in range(10):
         z = rng.standard_normal(cl.n)
         xp = z[: plant.n_p]
-        assert cl.output(z) == pytest.approx(float(xp @ plant.Q_p @ xp), abs=1e-14)
+        assert output(cl, z) == pytest.approx(float(xp @ plant.Q_p @ xp), abs=1e-14)
 
 
 def test_validate_assumptions_reference(ref_system):

@@ -207,6 +207,13 @@ def test_place_poles_dual_requires_conjugate_closure():
         place_poles_dual(F, H, np.array([-1.0 + 1.0j, -2.0]))
 
 
+def test_place_poles_dual_needs_n_targets():
+    F = np.diag([-1.0, -2.0, -3.0, -4.0])
+    H = np.ones((1, 4))
+    with pytest.raises(ValueError, match="need exactly n=4 target eigenvalues"):
+        place_poles_dual(F, H, np.array([-5.0, -6.0]))
+
+
 def test_place_poles_dual_unobservable_pair():
     F = np.diag([-1.0, -2.0])
     H = np.array([[1.0, 0.0]])  # second state invisible

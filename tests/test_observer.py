@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from obsforge import attack, observer
 from obsforge.errors import SynthesisError, ValidationError
 from obsforge.numerics import spectrum_distance
+from paper_equations import attack_signal, error_rhs, observer_rhs, output, plant_rhs
 
 
 def test_design_gain_reference_frozen(ref_observer):
@@ -52,6 +55,22 @@ def test_design_gain_default_poles_work(ref_design, ref_system):
     assert obs.placement_error < 1e-6
 
 
+def test_design_gain_miss_is_synthesis_error(make_random_system):
+    # a barely observable pair (Krylov margin 2.3e-9) that passes the gate,
+    # whose placement misses PLACEMENT_TOL (by 1.3e-5 where it was seen)
+    _, _, cl = make_random_system(np.random.default_rng([99, 8, 192]), 4, 4)
+    design = attack.build_design(cl, seed=192)
+    with pytest.raises(SynthesisError) as info:
+        observer.design_gain(design, cl.B)
+    miss = re.fullmatch(
+        r"placed spectrum misses target by (\S+) \(> 1\.0e-06\); observability margin (\S+)",
+        str(info.value),
+    )
+    assert miss is not None, str(info.value)
+    assert float(miss.group(1)) > observer.PLACEMENT_TOL
+    assert miss.group(2) == "%.3e" % design.observability_margin
+
+
 @pytest.mark.parametrize("n", [8, 10])
 def test_design_gain_places_every_gated_draw(make_random_system, n):
     # Ackermann's formula places n = 10 draw 1 more than 1e-6 off target
@@ -77,10 +96,10 @@ def test_error_identity_sampled(ref_system, ref_design, ref_observer):
         z = rng.standard_normal(cl.n)
         e = rng.standard_normal(cl.n)
         zhat = z + e
-        ytilde = cl.output(z) + attack.attack_signal(ref_design, zhat)
-        zhat_dot = observer.observer_rhs(cl, ref_design, ref_observer, zhat, ytilde)
-        z_dot = observer.plant_rhs(cl, ref_design, z, zhat)
-        e_dot = observer.error_rhs(cl, ref_design, ref_observer, z, e)
+        ytilde = output(cl, z) + attack_signal(ref_design, zhat)
+        zhat_dot = observer_rhs(cl, ref_design, ref_observer, zhat, ytilde)
+        z_dot = plant_rhs(cl, ref_design, z, zhat)
+        e_dot = error_rhs(cl, ref_design, ref_observer, z, e)
         scale = max(1.0, np.linalg.norm(zhat_dot), np.linalg.norm(z_dot))
         assert np.linalg.norm(e_dot - (zhat_dot - z_dot)) <= 1e-10 * scale
 
@@ -103,10 +122,10 @@ def test_coupled_field_indefinite_singular_qp(indefinite_case):
     for _ in range(100):
         z = rng.standard_normal(cl.n)
         zhat = z + rng.standard_normal(cl.n)
-        ytilde = cl.output(z) + attack.attack_signal(design, zhat)
+        ytilde = output(cl, z) + attack_signal(design, zhat)
         ref = np.concatenate([
-            observer.plant_rhs(cl, design, z, zhat),
-            observer.observer_rhs(cl, design, obs, zhat, ytilde),
+            plant_rhs(cl, design, z, zhat),
+            observer_rhs(cl, design, obs, zhat, ytilde),
         ])
         s_dot = field(np.concatenate([z, zhat])[:, None])[:, 0]
         assert np.linalg.norm(s_dot - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -121,8 +140,10 @@ def test_coupled_field_indefinite_singular_qp(indefinite_case):
 def test_error_rhs_zero_at_origin(ref_system, ref_design, ref_observer):
     _, _, cl = ref_system
     z = np.zeros(cl.n)
-    assert np.array_equal(observer.error_rhs(cl, ref_design, ref_observer, z, z), z)
-    assert np.array_equal(observer.plant_rhs(cl, ref_design, z, z), z)
+    assert np.array_equal(error_rhs(cl, ref_design, ref_observer, z, z), z)
+    assert np.array_equal(plant_rhs(cl, ref_design, z, z), z)
+    s = np.zeros((2 * cl.n, 1))
+    assert np.array_equal(observer.coupled_field(cl, ref_design, ref_observer)(s), s)
 
 
 def test_augmented_jacobian_blocks(ref_system, ref_design, ref_observer):
@@ -172,8 +193,8 @@ def test_jacobian_matches_finite_difference(ref_system, ref_design, ref_observer
 
     def phi(x):
         z, e = x[:n], x[n:]
-        zd = observer.plant_rhs(cl, ref_design, z, z + e)
-        ed = observer.error_rhs(cl, ref_design, ref_observer, z, e)
+        zd = plant_rhs(cl, ref_design, z, z + e)
+        ed = error_rhs(cl, ref_design, ref_observer, z, e)
         return np.concatenate([zd, ed])
 
     h = 1e-5

@@ -242,7 +242,6 @@ def test_ellipsoid_sampler_fills_sublevel_set(cert_instance):
 def test_verify_decay_certificate_holds(cert_instance):
     cl, design, obs, est = cert_instance
     report = roa.verify_decay(cl, design, obs, est, n_samples=25, seed=7)
-    assert report.all_satisfied
     assert report.fraction_satisfied == 1.0
     assert report.all_inside
     assert report.n_diverged == 0
@@ -250,6 +249,15 @@ def test_verify_decay_certificate_holds(cert_instance):
     assert len(report.per_sample) == 25
     assert report.delta == est.delta
     assert all(s["V0"] <= est.level * (1.0 + 1e-9) for s in report.per_sample)
+
+
+def test_verify_decay_reads_tol_decay_at_call_time(cert_instance, monkeypatch):
+    cl, design, obs, est = cert_instance
+    monkeypatch.setattr(roa, "TOL_DECAY", -1e3)
+    report = roa.verify_decay(cl, design, obs, est, n_samples=5, seed=7)
+    assert report.tol_decay == -1e3
+    assert report.worst_margin > -1e3
+    assert report.fraction_satisfied == 0.0
 
 
 def test_empty_batches_integrate(cert_instance):
@@ -285,7 +293,6 @@ def test_verify_decay_flags_violations_outside_certified_set(cert_instance):
     assert report.fraction_satisfied < 1.0
     assert report.n_diverged > 0
     assert not report.all_inside
-    assert not report.all_satisfied
 
 
 def test_box_check_zero_width_is_trivial(cert_instance):
@@ -293,7 +300,7 @@ def test_box_check_zero_width_is_trivial(cert_instance):
     report = roa.monte_carlo_box_check(
         cl, design, obs, box_halfwidth=0.0, n_samples=5, horizon=0.05
     )
-    assert report.all_converged
+    assert report.fraction_converged == 1.0
     assert report.max_transient_norm == 0.0
     assert report.n_diverged == 0
 
@@ -502,7 +509,7 @@ def _box_report_by_record(cl, design, obs, box_halfwidth=0.5, n_samples=500, hor
 
 
 def _decay_report_by_record(cl, design, obs, est, n_samples=200, seed=7, dt=1e-3,
-                            horizon=2.0, stride=10, tol_decay=roa.TOL_DECAY):
+                            horizon=2.0, stride=10):
     """Reference for verify_decay: integrate with the full state record, then
     evaluate V and Vdot on every record of every sample in one field call."""
     n = cl.n
@@ -534,9 +541,9 @@ def _decay_report_by_record(cl, design, obs, est, n_samples=200, seed=7, dt=1e-3
     ratios = np.divide(Vdot + est.delta * V, V, out=np.full(V.shape, -math.inf), where=pos)
     margin = np.where(pos.any(axis=0), ratios.max(axis=0), 0.0)
     inside = ~diverged & np.all(~finite | (V <= est.level * (1.0 + 1e-9)), axis=0)
-    satisfied = ~diverged & (margin <= tol_decay)
+    satisfied = ~diverged & (margin <= roa.TOL_DECAY)
     return roa.DecayReport(
-        n_samples=n_samples, seed=seed, delta=est.delta, level=est.level, tol_decay=tol_decay,
+        n_samples=n_samples, seed=seed, delta=est.delta, level=est.level, tol_decay=roa.TOL_DECAY,
         fraction_satisfied=int(satisfied.sum()) / n_samples if n_samples else 1.0,
         worst_margin=float(np.fmax.reduce(margin, initial=-math.inf)) if n_samples else 0.0,
         all_inside=bool(inside.all()),
@@ -701,7 +708,7 @@ def test_box_check_reference_subset_converges(ref_system, ref_design, ref_observ
         horizon=5.0,
         seed=0,
     )
-    assert report.all_converged
+    assert report.fraction_converged == 1.0
     assert report.n_diverged == 0
     assert report.max_transient_norm < 10.0
 
@@ -719,6 +726,15 @@ def test_certify_unstable_gain_reports_not_raises(ref_system):
     assert math.isnan(est.c3)
     assert math.isnan(est.c4)
     assert any("not Hurwitz" in note for note in est.notes)
+
+
+def test_certify_unstable_attack_matrix_is_infeasible_data(ref_system, ref_design, ref_observer):
+    _, _, cl = ref_system
+    design = replace(ref_design, Fbar=ref_design.Fbar + 10.0 * np.eye(cl.n))
+    est = roa.certify(cl, design, ref_observer)
+    assert not est.feasible
+    assert math.isnan(est.c2)
+    assert len(est.notes) == 1 and est.notes[0].startswith("Fbar is not Hurwitz (abscissa ")
 
 
 def test_certify_reports_lyapunov_residual_failure(make_random_system):
@@ -749,6 +765,3 @@ def test_reports_serialize_to_json(cert_instance, make_random_system):
         payload = report.as_dict()
         assert json.loads(json.dumps(payload, allow_nan=False)) == payload
     assert bad.as_dict()["c2"] == "nan"
-    # the summary properties stay out of the reports
-    assert "all_satisfied" not in decay.as_dict()
-    assert "all_converged" not in box.as_dict()

@@ -7,6 +7,7 @@ import pytest
 
 from obsforge import attack, observer, refcase, roa, sim
 from obsforge.errors import DivergenceError, ValidationError
+from paper_equations import attack_signal, observer_rhs, output, plant_rhs
 from records import replace
 
 
@@ -64,7 +65,6 @@ def test_bookkeeping_identities_hold_bitwise(ref_system, ref_design, ref_observe
     assert np.array_equal(traj.a, traj.z_hat @ ref_design.Hbar[0])
     y = np.einsum("ij,ij->i", traj.z @ cl.Q, traj.z)
     assert np.array_equal(traj.y, y)
-    assert len(traj) == traj.times.shape[0]
 
 
 def test_recording_stride_keeps_final_sample(ref_system, ref_design, ref_observer):
@@ -166,11 +166,11 @@ def test_integrate_batch_matches_plain_rk4(ref_system, ref_design, ref_observer)
 
     def rhs(s):
         z, zhat = s[:n], s[n:]
-        ytilde = cl.output(z) + attack.attack_signal(ref_design, zhat)
+        ytilde = output(cl, z) + attack_signal(ref_design, zhat)
         return np.concatenate(
             [
-                observer.plant_rhs(cl, ref_design, z, zhat),
-                observer.observer_rhs(cl, ref_design, ref_observer, zhat, ytilde),
+                plant_rhs(cl, ref_design, z, zhat),
+                observer_rhs(cl, ref_design, ref_observer, zhat, ytilde),
             ]
         )
 
@@ -459,6 +459,16 @@ def test_fit_envelope_majorizes_both_series(ref_system, ref_design, ref_observer
             * (1.0 + fit.fit_slack)
         )
         assert np.all(norms <= envelope * (1.0 + 1e-12))
+
+
+def test_fit_decay_reads_fit_slack_at_call_time(ref_system, ref_design, ref_observer, monkeypatch):
+    traj = _reference_run(ref_system, ref_design, ref_observer, T=1.0)
+    base = sim.fit_decay(traj)
+    monkeypatch.setattr(sim, "FIT_SLACK", 0.5)
+    wide = sim.fit_decay(traj)
+    assert (base.fit_slack, wide.fit_slack) == (0.05, 0.5)
+    assert wide.alpha == base.alpha
+    assert wide.kappa <= base.kappa  # more slack never raises the line further
 
 
 def test_fit_decay_validation():
