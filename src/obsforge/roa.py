@@ -13,7 +13,8 @@ and can be infeasible (c2 <= 0) for aggressive observer gains or attack
 scalings; infeasibility is reported as data, never raised. Monte Carlo
 helpers verify the decay inequality inside Omega_c and plain convergence
 from a box of initial conditions; each integrates all of its samples as
-one batch in the calling process.
+one batch in the calling process, on a step grid whose stride (and, for
+the decay check, horizon) is a module constant read at call time.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ __all__ = [
 
 #: largest decay margin (Vdot + delta V)/V a verify_decay sample may show
 TOL_DECAY = 1e-9
+#: verify_decay's horizon and record stride, and monte_carlo_box_check's stride
+DECAY_HORIZON = 2.0
+DECAY_STRIDE = 10
+BOX_STRIDE = 50
 DEFAULT_DELTA_FRACTION = 0.1
-#: state norm past which a Monte Carlo sample counts as diverged
-BLOWUP_NORM = 1e6
 
 
 class RoaEstimate(Reported):
@@ -103,20 +106,26 @@ def _sample_in_ellipsoid(evecs, sqrt_evals, level, rng):
     return math.sqrt(level) * r * x
 
 
-def _seeded_rows(seed, n_samples, width, draw):
-    """(n_samples, width) rows; row j is ``draw(np.random.default_rng((seed, j)))``.
+def _integrate_seeded(closed_loop, design, obs, seed, n_samples, draw, fold, dt, horizon,
+                      stride):
+    """:func:`integrate_batch` over n_samples drawn rows (z0, zhat0); the blow-up times.
 
-    One generator per sample, derived from the master seed by index, so each
-    drawn row is independent of how many are drawn. The generators are built
-    as ``default_rng`` builds them, minus its argument checks; numpy.random
-    is imported here, on first use.
+    Row j is ``draw(np.random.default_rng((seed, j)))``: one generator per
+    sample, derived from the master seed by index, so each drawn row is
+    independent of how many are drawn. The generators are built as
+    ``default_rng`` builds them, minus its argument checks; numpy.random is
+    imported here, on first use.
     """
     from numpy.random import PCG64, Generator, SeedSequence
 
-    rows = np.empty((n_samples, width))
+    n = closed_loop.n
+    rows = np.empty((n_samples, 2 * n))
     for j in range(n_samples):
         rows[j] = draw(Generator(PCG64(SeedSequence((seed, j)))))
-    return rows
+    return integrate_batch(
+        closed_loop, design, obs, z0_batch=rows[:, :n], zhat0_batch=rows[:, n:], fold=fold,
+        dt=dt, T=horizon, stride=stride,
+    )
 
 
 def _per_sample(**columns):
@@ -149,19 +158,18 @@ def verify_decay(
     n_samples=200,
     seed=7,
     dt=1e-3,
-    horizon=2.0,
-    stride=10,
 ):
     """Empirically check Vdot <= -delta V + TOL_DECAY V inside the certified set.
 
     Initial (z0, e0) pairs are drawn uniformly in Omega_c (per-sample
     generators derived from the master seed by index, so the report is
-    scheduling independent), trajectories integrated, and Vdot evaluated
-    analytically from the vector field at every recorded instant. The
-    certificate guarantees satisfaction; a violation means a tolerance or
-    implementation defect, which is exactly what this check hunts. The
-    bound TOL_DECAY is read at call time. Per-sample divergence (norm above
-    :data:`BLOWUP_NORM`) is recorded in the report, never raised.
+    scheduling independent), trajectories integrated for DECAY_HORIZON,
+    and Vdot evaluated analytically from the vector field at every
+    DECAY_STRIDE-th step. The certificate guarantees satisfaction; a
+    violation means a tolerance or implementation defect, which is exactly
+    what this check hunts. TOL_DECAY, DECAY_HORIZON and DECAY_STRIDE are
+    read at call time. Per-sample divergence (norm above
+    :data:`sim.BATCH_NORM_LIMIT`) is recorded in the report, never raised.
     """
     if not estimate.feasible or estimate.level is None or estimate.delta is None:
         raise ValidationError(
@@ -176,7 +184,7 @@ def verify_decay(
         )
     _check_index(n_samples, "n_samples")
     _check_index(seed, "seed")
-    _check_steps(dt, horizon, stride, "horizon")  # before any sample is drawn
+    _check_steps(dt, DECAY_HORIZON, DECAY_STRIDE, "horizon")  # before any sample is drawn
     _log(__name__, "debug", "verify_decay: %d samples", n_samples)
     n = closed_loop.n
     P = np.zeros((2 * n, 2 * n))
@@ -188,12 +196,10 @@ def verify_decay(
     field = coupled_field(closed_loop, design, obs)
     bound = estimate.level * (1.0 + 1e-9)
 
-    samples = _seeded_rows(
-        seed, n_samples, 2 * n,
-        lambda rng: _sample_in_ellipsoid(evecs, sqrt_evals, estimate.level, rng),
-    )
-    Z0 = samples[:, :n]
-    E0 = samples[:, n:]
+    def draw(rng):  # (z, e) uniform in the set, as the row (z, zhat = z + e)
+        x = _sample_in_ellipsoid(evecs, sqrt_evals, estimate.level, rng)
+        x[n:] += x[:n]
+        return x
 
     # per sample: the running largest margin (Vdot + delta V)/V over the
     # finite V > 0 records (-inf before any), whether there was such a
@@ -221,9 +227,8 @@ def verify_decay(
         if rec == 0:
             V0[:] = V
 
-    _, _, _, blowup = integrate_batch(
-        closed_loop, design, obs, Z0, Z0 + E0, dt=dt, T=horizon, stride=stride,
-        norm_limit=BLOWUP_NORM, fold=fold,
+    blowup = _integrate_seeded(
+        closed_loop, design, obs, seed, n_samples, draw, fold, dt, DECAY_HORIZON, DECAY_STRIDE
     )
 
     # the margin should stay <= TOL_DECAY, and is 0.0 without any V > 0 record
@@ -270,13 +275,13 @@ def monte_carlo_box_check(
     horizon=5.0,
     seed=0,
     dt=1e-3,
-    stride=50,
 ):
     """Sample (z0, zhat0) uniformly in a box and check convergence by horizon.
 
     Convergence means ||(z, e)(T)|| < 1e-3 ||(z, e)(0)|| (a zero initial
-    state must stay exactly zero). Per-sample divergence (norm above
-    :data:`BLOWUP_NORM`) is recorded in the report, never raised.
+    state must stay exactly zero); the norms are read every BOX_STRIDE-th
+    step, a constant read at call time. Per-sample divergence (norm above
+    :data:`sim.BATCH_NORM_LIMIT`) is recorded in the report, never raised.
     """
     n = closed_loop.n
     w = float(box_halfwidth)
@@ -286,11 +291,8 @@ def monte_carlo_box_check(
         raise ValidationError("box width must be finite, got %r" % (w,), field="box_halfwidth")
     _check_index(n_samples, "n_samples")
     _check_index(seed, "seed")
-    _check_steps(dt, horizon, stride, "horizon")  # before any sample is drawn
+    _check_steps(dt, horizon, BOX_STRIDE, "horizon")  # before any sample is drawn
     _log(__name__, "debug", "monte_carlo_box_check: %d samples", n_samples)
-
-    states = _seeded_rows(seed, n_samples, 2 * n, lambda rng: rng.uniform(-w, w, 2 * n))
-    Z0, Zh0 = states[:, :n], states[:, n:]
 
     # per sample: the norm of (z, e) at t = 0, its running peak over the
     # records (NaN ones never win) and its value at the last record
@@ -308,9 +310,9 @@ def monte_carlo_box_check(
         np.fmax(peak, norm, out=peak)
         final[:] = norm
 
-    _, _, _, blowup = integrate_batch(
-        closed_loop, design, obs, Z0, Zh0, dt=dt, T=horizon, stride=stride,
-        norm_limit=BLOWUP_NORM, fold=fold,
+    blowup = _integrate_seeded(
+        closed_loop, design, obs, seed, n_samples, lambda rng: rng.uniform(-w, w, 2 * n), fold,
+        dt, horizon, BOX_STRIDE,
     )
 
     # a diverged sample's last record is NaN, so its final norm reads inf,

@@ -27,15 +27,16 @@ over contiguous rows of length m; callers still pass and receive
 (samples, 2n) rows.
 
 Batch integration (used by the Monte Carlo checks) runs the same arithmetic
-over a stack of initial conditions; per-sample blow-ups are recorded, not
-fatal. One sum of squares over all samples screens each step for blow-up,
-and only a step that fails it computes the per-sample norms. Records
-follow a schedule fixed before the loop, so a step that records nothing
-costs only its products, their squares and the screen. Each record goes
-to a fold, ``fold(rec, S)``, with S the (2n, samples) state and NaN in the
-columns of samples that have diverged: the default one fills the record
-array that :func:`integrate` and :func:`integrate_batch` return, and the
-Monte Carlo checks pass folds that keep only O(samples) state.
+over a stack of initial conditions; per-sample blow-ups past
+BATCH_NORM_LIMIT are recorded, not fatal. One sum of squares over all
+samples screens each step for blow-up, and only a step that fails it
+computes the per-sample norms. Records follow a schedule fixed before the
+loop, so a step that records nothing costs only its products, their
+squares and the screen. Each record goes to a fold, ``fold(rec, S)``, with
+S the (2n, samples) state and NaN in the columns of samples that have
+diverged: the default one fills the record array of :func:`integrate`,
+and the Monte Carlo checks give :func:`integrate_batch` folds that keep
+only O(samples) state.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ DEFAULT_T = 5.0
 #: relative slack of the envelope fit_decay fits
 FIT_SLACK = 0.05
 NORM_LIMIT = 1e9
+#: state norm past which a sample of integrate_batch counts as diverged
+BATCH_NORM_LIMIT = 1e6
 
 
 class Trajectory(Record):
@@ -237,8 +240,6 @@ def _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold=None):
 def _run(closed_loop, design, obs, Z0, Zh0, dt, T, stride, norm_limit, fold=None):
     """:func:`_rk4_batch` on the rows [Z0, Zh0] after the entries' shared checks."""
     n_steps = _check_steps(dt, T, stride)
-    if not norm_limit > 0:  # the screen squares the limit, which would lose its sign
-        raise ValidationError("must be positive, got %r" % (norm_limit,), field="norm_limit")
     field = coupled_field(closed_loop, design, obs)
     S0 = np.concatenate([Z0, Zh0], axis=1)
     return _rk4_batch(field, S0, dt, n_steps, stride, norm_limit, fold)
@@ -279,31 +280,20 @@ def integrate(closed_loop, design, obs, z0, zhat0, dt=DEFAULT_DT, T=DEFAULT_T, s
     return traj
 
 
-def integrate_batch(
-    closed_loop,
-    design,
-    obs,
-    z0_batch,
-    zhat0_batch,
-    dt=DEFAULT_DT,
-    T=DEFAULT_T,
-    stride=1,
-    norm_limit=NORM_LIMIT,
-    fold=None,
-):
+def integrate_batch(closed_loop, design, obs, z0_batch, zhat0_batch, fold, dt=DEFAULT_DT,
+                    T=DEFAULT_T, stride=1):
     """Integrate a stack of initial conditions with shared arithmetic.
 
-    Returns (times, z, z_hat, blowup_times): z and z_hat have shape
-    (n_records, n_samples, n); rows after a sample's divergence are NaN.
-    Each row gets the arithmetic of :func:`integrate`, but BLAS picks its
-    kernel by a row's place in the batch, so a row's states may differ in
-    the last ulps from its run in another batch: within 1e-15 absolute on
-    states of order 1, whatever the batch width.
-
-    With ``fold``, no record is kept: the stepper calls ``fold(rec, S)``
-    at the initial state and at every record instead (see
+    Keeps no record: the stepper calls ``fold(rec, S)`` at the initial
+    state and at every ``stride``-th step (plus the last) instead (see
     :func:`_rk4_batch`; S is (2n, n_samples), z above zhat, NaN in a
-    diverged sample's column), and z and z_hat come back as None.
+    diverged sample's column). Returns the blow-up times: the first
+    instant a sample's norm passed BATCH_NORM_LIMIT, NaN for the samples
+    that stayed below it. Each row gets the arithmetic of
+    :func:`integrate`, but BLAS picks its kernel by a row's place in the
+    batch, so a row's states may differ in the last ulps from its run in
+    another batch: within 1e-15 absolute on states of order 1, whatever
+    the batch width.
     """
     n = closed_loop.n
     Z0 = np.atleast_2d(np.asarray(z0_batch, dtype=float))
@@ -312,10 +302,7 @@ def integrate_batch(
         raise ValidationError(
             "batch shapes must match and have width %d" % n, field="z0_batch"
         )
-    times, states, blowup = _run(closed_loop, design, obs, Z0, Zh0, dt, T, stride, norm_limit, fold)
-    if states is None:
-        return times, None, None, blowup
-    return times, states[:, :, :n], states[:, :, n:], blowup
+    return _run(closed_loop, design, obs, Z0, Zh0, dt, T, stride, BATCH_NORM_LIMIT, fold)[2]
 
 
 def fit_decay(traj, series="e"):

@@ -3,6 +3,7 @@
 import ast
 import copy
 import gc
+import inspect
 import json
 import os
 import re
@@ -165,7 +166,7 @@ def test_function_level_imports_are_the_deliberate_deferrals():
         "cli.cmd_simulate": {"sim"},
         "cli._setup_logging": {"logging"},
         "refcase.run_reference_case": {"attack", "observer", "roa", "sim"},
-        "roa._seeded_rows": {"numpy.random"},
+        "roa._integrate_seeded": {"numpy.random"},
     }
 
 
@@ -306,6 +307,56 @@ def test_public_api_is_read_outside_the_tests():
                     and attr not in read
                 ]
     assert not unread, "read only by the tests: %s" % ", ".join(unread)
+
+
+def test_optional_parameters_are_set_outside_the_tests():
+    # each optional parameter of a submodule's public function is filled,
+    # by keyword or by position, by some call in the package, a demo or the
+    # benchmark; a value that only the tests set belongs in a module
+    # constant. A call that passes the function on, as ``timed(f, a, b)``
+    # does, fills it with the arguments after it. The one exception is
+    # sim.integrate's stride: acceptance criterion 10d sets it to 10**6,
+    # so that only the endpoint is recorded
+    root = Path(__file__).resolve().parent.parent
+    calls = []
+    for d in ("src/obsforge", "demos", "perfbench"):
+        for path in (root / d).rglob("*.py"):
+            tree = ast.parse(path.read_text(), str(path))
+            calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def filled(function, index, param):
+        for call in calls:
+            args = call.args
+            if name(call.func) != function:
+                passed = [i for i, arg in enumerate(args) if name(arg) == function]
+                if not passed:
+                    continue
+                args = args[passed[0] + 1 :]
+            positional = 0  # the arguments ahead of any *args
+            while positional < len(args) and not isinstance(args[positional], ast.Starred):
+                positional += 1
+            if param.kind is param.POSITIONAL_OR_KEYWORD and index < positional:
+                return True
+            if any(keyword.arg == param.name for keyword in call.keywords):
+                return True
+        return False
+
+    unset = []
+    for layer in obsforge.__all__:
+        module = getattr(obsforge, layer)
+        if not isinstance(module, types.ModuleType):
+            continue
+        for function in module.__all__:
+            value = getattr(module, function)
+            if not isinstance(value, types.FunctionType):
+                continue
+            for index, param in enumerate(inspect.signature(value).parameters.values()):
+                if param.default is not param.empty and not filled(function, index, param):
+                    unset.append("%s.%s(%s=)" % (layer, function, param.name))
+    assert unset == ["sim.integrate(stride=)"], "set only by the tests: %s" % ", ".join(unset)
 
 
 def test_wildcard_import_binds_the_public_api():

@@ -2,18 +2,16 @@
 
 import json
 import math
-import os
-import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from obsforge import attack, observer, roa, sim
+from obsforge import attack, observer, roa
 from obsforge.errors import SynthesisError, ValidationError
 from obsforge.numerics import is_hurwitz
-from records import replace
+from records import batch_record, replace
 
 
 def test_lyapunov_pairs_solve_certificate_equations(cert_instance):
@@ -263,8 +261,8 @@ def test_verify_decay_reads_tol_decay_at_call_time(cert_instance, monkeypatch):
 def test_empty_batches_integrate(cert_instance):
     cl, design, obs, est = cert_instance
     none = np.zeros((0, cl.n))
-    times, Z, Zh, blowup = sim.integrate_batch(cl, design, obs, none, none, T=0.1)
-    assert Z.shape == Zh.shape == (len(times), 0, cl.n)
+    Z, Zh, blowup = batch_record(cl, design, obs, none, none, T=0.1)
+    assert Z.shape == Zh.shape == (101, 0, cl.n)
     assert blowup.shape == (0,)
     box = roa.monte_carlo_box_check(cl, design, obs, n_samples=0, horizon=0.1)
     assert (box.fraction_converged, box.max_transient_norm) == (1.0, 0.0)
@@ -387,9 +385,8 @@ def test_box_check_per_sample_matches_loop(ref_system, ref_design, ref_observer,
         np.random.default_rng((seed, i)).uniform(-halfwidth, halfwidth, 2 * n)
         for i in range(m)
     ])
-    _, Z, Zh, blowup = sim.integrate_batch(
-        cl, ref_design, ref_observer, states[:, :n], states[:, n:], dt=1e-3, T=5.0,
-        stride=50, norm_limit=1e6,
+    Z, Zh, blowup = batch_record(
+        cl, ref_design, ref_observer, states[:, :n], states[:, n:], dt=1e-3, T=5.0, stride=50
     )
     E = Zh - Z
     combined = np.sqrt(np.einsum("tsi,tsi->ts", Z, Z) + np.einsum("tsi,tsi->ts", E, E))
@@ -439,9 +436,9 @@ def test_verify_decay_per_sample_matches_loop(cert_instance, scale):
         )
         for i in range(m)
     ])
-    _, Z, Zh, blowup = sim.integrate_batch(
-        cl, design, obs, samples[:, :n], samples[:, :n] + samples[:, n:], dt=1e-3,
-        T=2.0, stride=10, norm_limit=1e6,
+    Z, Zh, blowup = batch_record(
+        cl, design, obs, samples[:, :n], samples[:, :n] + samples[:, n:], dt=1e-3, T=2.0,
+        stride=10,
     )
     # V and Vdot at every record of every sample, as verify_decay evaluates them
     x = np.concatenate([Z.reshape(-1, n).T, Zh.reshape(-1, n).T])
@@ -477,15 +474,26 @@ def test_verify_decay_per_sample_matches_loop(cert_instance, scale):
     assert report.all_inside == all(s["stayed_inside"] for s in expected)
 
 
+def _set_steps(monkeypatch, knobs, **constants):
+    """``knobs`` without the step settings a check reads from roa constants
+    (``constants`` maps knob to constant), each such setting patched in."""
+    knobs = dict(knobs)
+    for knob, constant in constants.items():
+        if knob in knobs:
+            monkeypatch.setattr(roa, constant, knobs.pop(knob))
+    return knobs
+
+
 def _box_report_by_record(cl, design, obs, box_halfwidth=0.5, n_samples=500, horizon=5.0,
                           seed=0, dt=1e-3, stride=50):
     """Reference for monte_carlo_box_check: integrate with the full state
     record, then reduce the (records, samples) norm table column by column."""
     n, w = cl.n, float(box_halfwidth)
-    states = roa._seeded_rows(seed, n_samples, 2 * n, lambda rng: rng.uniform(-w, w, 2 * n))
-    _, Z, Zh, blowup = sim.integrate_batch(
-        cl, design, obs, states[:, :n], states[:, n:], dt=dt, T=horizon, stride=stride,
-        norm_limit=1e6,
+    states = np.empty((n_samples, 2 * n))
+    for j in range(n_samples):
+        states[j] = np.random.default_rng((seed, j)).uniform(-w, w, 2 * n)
+    Z, Zh, blowup = batch_record(
+        cl, design, obs, states[:, :n], states[:, n:], dt=dt, T=horizon, stride=stride
     )
     E = Zh - Z
     combined = np.sqrt(np.einsum("tsi,tsi->ts", Z, Z) + np.einsum("tsi,tsi->ts", E, E))
@@ -517,13 +525,13 @@ def _decay_report_by_record(cl, design, obs, est, n_samples=200, seed=7, dt=1e-3
     P[:n, :n], P[n:, n:] = est.P1, est.P2
     evals, evecs = np.linalg.eigh(P)
     sqrt_evals = np.sqrt(evals)
-    samples = roa._seeded_rows(
-        seed, n_samples, 2 * n,
-        lambda rng: roa._sample_in_ellipsoid(evecs, sqrt_evals, est.level, rng),
-    )
-    _, Z, Zh, blowup = sim.integrate_batch(
+    samples = np.empty((n_samples, 2 * n))
+    for j in range(n_samples):
+        rng = np.random.default_rng((seed, j))
+        samples[j] = roa._sample_in_ellipsoid(evecs, sqrt_evals, est.level, rng)
+    Z, Zh, blowup = batch_record(
         cl, design, obs, samples[:, :n], samples[:, :n] + samples[:, n:], dt=dt, T=horizon,
-        stride=stride, norm_limit=1e6,
+        stride=stride,
     )
     shape = Z.shape[:2]
     x = np.empty((2 * n, shape[0] * shape[1]))
@@ -565,12 +573,17 @@ def _decay_report_by_record(cl, design, obs, est, n_samples=200, seed=7, dt=1e-3
         (dict(n_samples=40, horizon=1.0, stride=37, seed=4), False),  # 37 does not divide 1000
         (dict(n_samples=0, horizon=0.5), False),
         (dict(n_samples=1, horizon=0.5), False),
+        (dict(box_halfwidth=3.0, n_samples=520, horizon=1.0, seed=1), True),
+        (dict(n_samples=255, horizon=0.5), False),
     ],
 )
-def test_box_check_matches_record_reduction(ref_system, ref_design, ref_observer, knobs, diverging):
+def test_box_check_matches_record_reduction(monkeypatch, ref_system, ref_design, ref_observer,
+                                            knobs, diverging):
     """The per-record fold gives the report of reducing the full record, exactly."""
     _, _, cl = ref_system
-    report = roa.monte_carlo_box_check(cl, ref_design, ref_observer, **knobs)
+    report = roa.monte_carlo_box_check(
+        cl, ref_design, ref_observer, **_set_steps(monkeypatch, knobs, stride="BOX_STRIDE")
+    )
     assert report == _box_report_by_record(cl, ref_design, ref_observer, **knobs)
     assert (report.n_diverged > 0) == diverging
 
@@ -585,72 +598,21 @@ def test_box_check_matches_record_reduction(ref_system, ref_design, ref_observer
         (1.0, dict(n_samples=40, horizon=1.0, stride=37, seed=4), False),
         (1.0, dict(n_samples=0, horizon=0.5), False),
         (1.0, dict(n_samples=1, horizon=0.5), False),
+        (1.0, dict(n_samples=520, horizon=0.5, seed=1), False),
+        (1e6, dict(n_samples=300, horizon=0.5, seed=3), True),  # most diverge
     ],
 )
-def test_verify_decay_matches_record_reduction(cert_instance, scale, knobs, diverging):
+def test_verify_decay_matches_record_reduction(monkeypatch, cert_instance, scale, knobs,
+                                               diverging):
     """The per-record fold gives the report of reducing the full record, exactly."""
     cl, design, obs, est = cert_instance
     est = replace(est, level=est.level * scale)
-    report = roa.verify_decay(cl, design, obs, est, **knobs)
+    report = roa.verify_decay(
+        cl, design, obs, est,
+        **_set_steps(monkeypatch, knobs, horizon="DECAY_HORIZON", stride="DECAY_STRIDE"),
+    )
     assert report == _decay_report_by_record(cl, design, obs, est, **knobs)
     assert (report.n_diverged > 0) == diverging
-
-
-def _forbid_fork(monkeypatch):
-    def fork():
-        raise AssertionError("os.fork called")
-
-    monkeypatch.setattr(os, "fork", fork)
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_chunked_checks_match_full_width(monkeypatch, ref_system, ref_design, ref_observer,
-                                         cert_instance, cpus):
-    """Whatever CPU count the host reports, both checks integrate all their
-    samples as one batch in the calling process, so their reports are the
-    full-width references exactly."""
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    _forbid_fork(monkeypatch)
-    _, _, cl = ref_system
-    for knobs in (
-        dict(seed=0),  # the default 500 samples
-        dict(box_halfwidth=3.0, n_samples=520, horizon=1.0, seed=1),  # some diverge
-        dict(n_samples=255, horizon=0.5),
-    ):
-        report = roa.monte_carlo_box_check(cl, ref_design, ref_observer, **knobs)
-        assert report == _box_report_by_record(cl, ref_design, ref_observer, **knobs)
-    cl, design, obs, est = cert_instance
-    for scale, knobs in (
-        (1.0, dict(seed=0)),  # the default 200 samples
-        (1.0, dict(n_samples=520, horizon=0.5, seed=1)),
-        (1e6, dict(n_samples=300, horizon=0.5, seed=3)),  # most diverge
-    ):
-        scaled = replace(est, level=est.level * scale)
-        report = roa.verify_decay(cl, design, obs, scaled, **knobs)
-        assert report == _decay_report_by_record(cl, design, obs, scaled, **knobs)
-
-
-def test_chunks_stay_in_process_without_a_safe_fork(monkeypatch, ref_system, ref_design,
-                                                    ref_observer):
-    """The box check needs no fork: it gives the full-width report while
-    another thread is alive, and on a platform without os.fork."""
-    _forbid_fork(monkeypatch)
-    _, _, cl = ref_system
-    knobs = dict(n_samples=256, horizon=0.5)
-    expected = _box_report_by_record(cl, ref_design, ref_observer, **knobs)
-    release = threading.Event()
-    other = threading.Thread(target=release.wait, args=(60,))
-    other.start()
-    try:
-        report = roa.monte_carlo_box_check(cl, ref_design, ref_observer, **knobs)
-    finally:
-        release.set()
-        other.join(timeout=60)
-    assert not other.is_alive()
-    assert report == expected
-    monkeypatch.delattr(os, "fork")
-    assert roa.monte_carlo_box_check(cl, ref_design, ref_observer, **knobs) == expected
 
 
 @pytest.mark.parametrize(
@@ -663,12 +625,18 @@ def test_chunks_stay_in_process_without_a_safe_fork(monkeypatch, ref_system, ref
         (dict(dt=4e-4, horizon=1.0003), "horizon"),  # 2500.75 steps
     ],
 )
-def test_step_knobs_checked_before_any_chunk(cert_instance, knobs, field):
-    # a bad step grid is refused before any of the 500 samples is drawn
+def test_step_grid_refused_before_any_sample_is_drawn(monkeypatch, cert_instance, knobs, field):
     cl, design, obs, est = cert_instance
+    box_knobs = _set_steps(monkeypatch, knobs, stride="BOX_STRIDE")
+    decay_knobs = _set_steps(monkeypatch, knobs, horizon="DECAY_HORIZON", stride="DECAY_STRIDE")
+
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
     for check in (
-        lambda: roa.monte_carlo_box_check(cl, design, obs, n_samples=500, **knobs),
-        lambda: roa.verify_decay(cl, design, obs, est, n_samples=500, **knobs),
+        lambda: roa.monte_carlo_box_check(cl, design, obs, n_samples=500, **box_knobs),
+        lambda: roa.verify_decay(cl, design, obs, est, n_samples=500, **decay_knobs),
     ):
         with pytest.raises(ValidationError) as info:
             check()
@@ -683,7 +651,7 @@ def test_monte_carlo_checks_keep_no_state_record(cert_instance):
     # allocations do not count against the check
     cl, design, obs, est = cert_instance
     roa.monte_carlo_box_check(cl, design, obs, n_samples=2, horizon=0.1)
-    roa.verify_decay(cl, design, obs, est, n_samples=2, horizon=0.1)
+    roa.verify_decay(cl, design, obs, est, n_samples=2)
     for check in (
         lambda: roa.monte_carlo_box_check(cl, design, obs),
         lambda: roa.verify_decay(cl, design, obs, est, n_samples=200),

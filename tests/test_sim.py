@@ -5,10 +5,10 @@ import types
 import numpy as np
 import pytest
 
-from obsforge import attack, observer, refcase, roa, sim
+from obsforge import attack, observer, refcase, sim
 from obsforge.errors import DivergenceError, ValidationError
 from paper_equations import attack_signal, observer_rhs, output, plant_rhs
-from records import replace
+from records import batch_record, replace
 
 
 def _reference_run(ref_system, ref_design, ref_observer, dt=1e-3, T=5.0, stride=10):
@@ -90,15 +90,13 @@ def test_integrate_batch_matches_single_runs(ref_system, ref_design, ref_observe
     rng = np.random.default_rng(11)
     Z0 = rng.uniform(-0.3, 0.3, (3, 4))
     Zh0 = rng.uniform(-0.3, 0.3, (3, 4))
-    times, Z, Zh, blowup = sim.integrate_batch(
-        cl, ref_design, ref_observer, Z0, Zh0, dt=1e-3, T=0.2, stride=10
-    )
+    Z, Zh, blowup = batch_record(cl, ref_design, ref_observer, Z0, Zh0, dt=1e-3, T=0.2, stride=10)
     assert not np.isfinite(blowup).any()
     for i in range(3):
         traj = sim.integrate(
             cl, ref_design, ref_observer, Z0[i], Zh0[i], dt=1e-3, T=0.2, stride=10
         )
-        assert np.array_equal(times, traj.times)
+        assert Z.shape[0] == traj.times.shape[0] == 21
         assert np.allclose(Z[:, i], traj.z, rtol=0, atol=1e-13)
         assert np.allclose(Zh[:, i], traj.z_hat, rtol=0, atol=1e-13)
 
@@ -107,48 +105,52 @@ def test_integrate_batch_divergence_semantics(ref_system, ref_design, ref_observ
     # a growing row, a row that starts non-finite and two survivors; the
     # per-column norm runs only on steps whose sum of squares fails the screen
     _, _, cl = ref_system
+    # row 1 passes the batch limit 1e6 and integrate's 1e9 in the same step
     Z0 = np.array([[0.1] * 4, [50.0] * 4, [np.nan, 0.0, 0.0, 0.0], [-0.2] * 4])
-    times, Z, Zh, blowup = sim.integrate_batch(
-        cl, ref_design, ref_observer, Z0, -Z0, dt=1e-3, T=1.0, norm_limit=1e9
-    )
+    Z, Zh, blowup = batch_record(cl, ref_design, ref_observer, Z0, -Z0, dt=1e-3, T=1.0)
     assert np.array_equal(blowup, [np.nan, 0.021, 0.001, np.nan], equal_nan=True)
     with pytest.raises(DivergenceError) as excinfo:
         sim.integrate(cl, ref_design, ref_observer, Z0[1], -Z0[1], dt=1e-3, T=1.0)
     assert excinfo.value.time == blowup[1]
+    times = 1e-3 * np.arange(1001)
     for i in (1, 2):
         after = times >= blowup[i]
         assert np.isnan(Z[after, i]).all() and np.isnan(Zh[after, i]).all()
     assert np.isfinite(Z[times < blowup[1], 1]).all()
     for i in (0, 3):
         traj = sim.integrate(cl, ref_design, ref_observer, Z0[i], -Z0[i], dt=1e-3, T=1.0)
+        assert np.array_equal(traj.times, times)
         assert np.allclose(Z[:, i], traj.z, rtol=0, atol=1e-13)
         assert np.allclose(Zh[:, i], traj.z_hat, rtol=0, atol=1e-13)
 
 
 def test_integrate_batch_fold_sees_every_record(ref_system, ref_design, ref_observer):
     # a fold gets record 0 and every scheduled record in order, the state
-    # as (2n, samples) columns with NaN in the columns of diverged samples,
-    # so its rows are the default record; a NaN start passes record 0 as is
+    # as (2n, samples) columns with NaN in the columns of diverged samples;
+    # a NaN start passes record 0 as is, and a live sample's rows are the
+    # record integrate keeps of it
     _, _, cl = ref_system
     n = cl.n
     Z0 = np.array([[0.1] * 4, [50.0] * 4, [-0.2] * 4, [np.nan] * 4])
-    kw = dict(dt=1e-3, T=0.1, stride=7, norm_limit=1e9)
-    times, Z, Zh, blowup = sim.integrate_batch(cl, ref_design, ref_observer, Z0, -Z0, **kw)
+    kw = dict(dt=1e-3, T=0.1, stride=7)
     seen = []
 
     def fold(rec, S):
         assert S.shape == (2 * n, 4) and rec == len(seen)
         seen.append(S.T.copy())
 
-    got = sim.integrate_batch(cl, ref_design, ref_observer, Z0, -Z0, fold=fold, **kw)
-    assert got[1] is None and got[2] is None
-    assert np.array_equal(got[0], times) and np.array_equal(got[3], blowup, equal_nan=True)
+    blowup = sim.integrate_batch(cl, ref_design, ref_observer, Z0, -Z0, fold, **kw)
+    times = 1e-3 * np.array([0, 7, 14, 21, 28, 35, 42, 49, 56, 63, 70, 77, 84, 91, 98, 100])
     assert blowup[3] == 1e-3 and blowup[1] == times[3]  # 0.021 s, the record at step 21
-    assert len(seen) == len(times) == 16  # 100 steps, stride 7
+    assert len(seen) == len(times)  # 100 steps, stride 7, and the last
     assert np.array_equal(seen[0], np.concatenate([Z0, -Z0], axis=1), equal_nan=True)
     for t, rows in zip(times, seen):  # a dead sample reads NaN, never zeros
         assert np.isnan(rows[blowup <= t]).all()
-    assert np.array_equal(np.stack(seen), np.concatenate([Z, Zh], axis=2), equal_nan=True)
+    for i in (0, 2):
+        traj = sim.integrate(cl, ref_design, ref_observer, Z0[i], -Z0[i], **kw)
+        assert np.array_equal(traj.times, times)
+        got = np.stack(seen)[:, i]
+        assert np.abs(got - np.concatenate([traj.z, traj.z_hat], axis=1)).max() <= 1e-15
 
 
 def test_integrate_batch_matches_plain_rk4(ref_system, ref_design, ref_observer):
@@ -159,9 +161,7 @@ def test_integrate_batch_matches_plain_rk4(ref_system, ref_design, ref_observer)
     rng = np.random.default_rng(23)
     Z0 = rng.uniform(-0.5, 0.5, (3, n))
     Zh0 = rng.uniform(-0.5, 0.5, (3, n))
-    _, Z, Zh, blowup = sim.integrate_batch(
-        cl, ref_design, ref_observer, Z0, Zh0, dt=dt, T=T, stride=10
-    )
+    Z, Zh, blowup = batch_record(cl, ref_design, ref_observer, Z0, Zh0, dt=dt, T=T, stride=10)
     assert not np.isfinite(blowup).any()
 
     def rhs(s):
@@ -192,10 +192,11 @@ def test_integrate_batch_width_bound(ref_system, ref_design, ref_observer):
     # 2-vCPU x86 host
     _, _, cl = ref_system
     n = cl.n
-    S0 = roa._seeded_rows(0, 500, 2 * n, lambda rng: rng.uniform(-0.5, 0.5, 2 * n))
+    # the default box check's first 0.5 s
+    S0 = np.array([np.random.default_rng((0, j)).uniform(-0.5, 0.5, 2 * n) for j in range(500)])
 
     def run(rows):
-        _, Z, Zh, blowup = sim.integrate_batch(
+        Z, Zh, blowup = batch_record(
             cl, ref_design, ref_observer, S0[rows, :n], S0[rows, n:], T=0.5, stride=50
         )
         assert not np.isfinite(blowup).any()
@@ -385,10 +386,7 @@ def test_integrate_validates_inputs(ref_system, ref_design, ref_observer):
     with pytest.raises(ValidationError, match="length"):
         sim.integrate(cl, ref_design, ref_observer, np.zeros(3), z0)
     with pytest.raises(ValidationError, match="width"):
-        sim.integrate_batch(cl, ref_design, ref_observer, np.zeros((2, 3)), np.zeros((2, 3)))
-    for limit in (0.0, -1.0, np.nan):
-        with pytest.raises(ValidationError, match="norm_limit"):
-            sim.integrate_batch(cl, ref_design, ref_observer, z0[None], z0[None], norm_limit=limit)
+        sim.integrate_batch(cl, ref_design, ref_observer, np.zeros((2, 3)), np.zeros((2, 3)), None)
 
 
 @pytest.mark.parametrize(
@@ -411,7 +409,7 @@ def test_step_checks_name_the_bad_knob(ref_system, ref_design, ref_observer, kno
     with pytest.raises(ValidationError) as single:
         sim.integrate(cl, ref_design, ref_observer, z0, z0, **knobs)
     with pytest.raises(ValidationError) as batch:
-        sim.integrate_batch(cl, ref_design, ref_observer, z0[None], z0[None], **knobs)
+        sim.integrate_batch(cl, ref_design, ref_observer, z0[None], z0[None], None, **knobs)
     assert single.value.field == batch.value.field == field
 
 
