@@ -15,8 +15,11 @@ output holds, per workload, the seeds, every run's end-to-end metrics and
 failed share, their medians and quartiles (numpy's linear percentiles),
 and a comparison per metric: how many pairs the change won (ties count for
 neither side), the ratio of the medians, the parent's interquartile
-spread, whether the medians differ by more than that spread, and whether
-the change stays within the bound BENCHMARK.json fixes. After a
+spread, whether the medians differ by more than that spread, whether
+the change stays within the bound BENCHMARK.json fixes, and whether that
+verdict is resolved: it is not when the parent's spread is wider than the
+bound (relative to the parent's median), unless every run of the change
+reads better than every run of the parent. After a
 workload's pairs, one ``--trace 1`` run per tree on the first seed gives
 the per-layer metrics of both sides, stored under ``per_layer`` as
 ``{metric: {"parent": value, "change": value}}``. Each untraced run's
@@ -81,6 +84,7 @@ def compare(parent, change, better, bound):
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent["runs"], change["runs"]))
     limit = parent["median"] * (1.0 - sign * bound)
     iqr = parent["q3"] - parent["q1"]
+    beats_every_run = all(sign * (c - p) > 0 for c in change["runs"] for p in parent["runs"])
     return {
         "better": better,
         "change_wins": "%d/%d" % (wins, len(parent["runs"])),
@@ -88,6 +92,7 @@ def compare(parent, change, better, bound):
         "parent_iqr": iqr,
         "median_gap_exceeds_parent_iqr": bool(abs(change["median"] - parent["median"]) > iqr),
         "within_bound": bool(sign * (change["median"] - limit) >= 0),
+        "resolved": bool(iqr <= bound * abs(parent["median"]) or beats_every_run),
     }
 
 

@@ -185,9 +185,6 @@ class ObservabilityResult(Record):
     observable: bool
     margin: float
 
-    def __bool__(self):
-        return self.observable
-
 
 def is_observable(F, Hrow) -> ObservabilityResult:
     """Rank test on the observability matrix [H; HF; ...; HF^{n-1}].

@@ -491,12 +491,20 @@ def cmd_roa(config):
     from . import roa
 
     _, _, cl, design, obs, est = _design_for_run(config)
+    feasible = est.feasible and est.level is not None and math.isfinite(est.level)
+    if feasible:  # the decay check's grid is refused before any box sample is integrated
+        try:
+            _check_steps(config.dt, roa.DECAY_HORIZON, roa.DECAY_STRIDE)
+        except ValidationError as exc:
+            raise ValidationError(
+                "the %g s decay horizon: %s" % (roa.DECAY_HORIZON, exc.reason), field="dt"
+            ) from None
     box = roa.monte_carlo_box_check(
         cl, design, obs, horizon=config.horizon, seed=config.seed, dt=config.dt
     )
     payload = {"estimate": est, "box_check": box, "decay_check": None}
     code = EXIT_OK
-    if est.feasible and est.level is not None and math.isfinite(est.level):
+    if feasible:
         decay = roa.verify_decay(cl, design, obs, est, seed=config.seed, dt=config.dt)
         payload["decay_check"] = decay
         print(
@@ -518,7 +526,19 @@ def cmd_roa(config):
 
 
 def cmd_reproduce(config):
-    results, mismatches = refcase.run_reference_case(dt=config.dt, T=config.horizon)
+    from . import sim
+
+    # the bundled case's system and design inputs, run through synthesize's chain
+    fixed = {"pi": list(refcase.REFERENCE_PI_STAR), "poles": list(refcase.REFERENCE_POLES)}
+    config = RunConfig(**{**vars(config), **fixed})
+    plant, controller, cl = refcase.reference_system()
+    _check_assumptions(plant, controller, cl, "system")
+    design, obs, est = _design_pipeline(config, cl)
+    z0, zhat0 = _default_initial(config, cl)
+    traj = sim.integrate(cl, design, obs, z0, zhat0, dt=config.dt, T=config.horizon)
+    results, mismatches = refcase.judge(
+        cl, design, obs, est, traj, sim.fit_decay(traj), config.dt, config.horizon
+    )
     payload = {"results": results, "mismatches": mismatches}
     _write_json(os.path.join(config.out, "reproduce.json"), payload)
     expected = refcase.expected_values()

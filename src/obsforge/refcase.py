@@ -3,9 +3,11 @@
 A two-state plant with quadratic output in feedback with a two-state
 dynamic controller. The numbers below (closed-loop spectrum, scaling bound,
 attack parameter, observer gain, error-decay milestones) were frozen from
-an independent computation and serve as the reproduction benchmark: the
-``reproduce`` pipeline recomputes everything from the matrices and compares
-against this table.
+an independent computation and serve as the reproduction benchmark.
+``reproduce-paper`` runs synthesize's chain (``cli._design_pipeline``) on
+this system with REFERENCE_PI_STAR and REFERENCE_POLES, then simulate's
+integration from REFERENCE_Z0 and REFERENCE_ZHAT0, and :func:`judge`
+compares what it computed against this table.
 
 With identity certificate weights this design sits outside the provable
 region-of-attraction regime (the cross-coupling constant c3 dwarfs c1), so
@@ -24,22 +26,17 @@ __all__ = [
     "reference_system",
     "reference_dict",
     "expected_values",
-    "run_reference_case",
+    "judge",
     "REFERENCE_PI_STAR",
-    "REFERENCE_GAMMA_FRACTION",
-    "REFERENCE_Y_SCALE",
     "REFERENCE_POLES",
     "REFERENCE_Z0",
     "REFERENCE_ZHAT0",
 ]
 
 REFERENCE_PI_STAR = (1.0, -3.0)
-REFERENCE_GAMMA_FRACTION = 0.9
-REFERENCE_Y_SCALE = 0.2
 REFERENCE_POLES = (-9.5, -10.5, -11.5, -12.5)
 REFERENCE_Z0 = (0.1, -0.15, 0.1, -0.1)
 REFERENCE_ZHAT0 = (-0.1, 0.1, -0.1, 0.1)
-REFERENCE_DT = 1e-3
 REFERENCE_T = 5.0
 
 
@@ -138,40 +135,24 @@ def _mismatches(key, row, got, T):
     return ["%s: %s" % (key, text)] if failed else []
 
 
-def run_reference_case(dt=REFERENCE_DT, T=REFERENCE_T):
-    """Recompute the whole pipeline on the bundled case and diff the table.
+def judge(cl, design, obs, est, traj, fit, dt, T):
+    """Diff a finished run of the bundled case against the frozen table.
 
-    Returns (results, mismatches); an empty mismatch list means the
-    benchmark reproduced within every frozen tolerance.
+    ``design``, ``obs`` and ``est`` are the synthesis chain's results on
+    ``cl``, ``traj`` the run of ``dt`` steps up to ``T`` from REFERENCE_Z0
+    and REFERENCE_ZHAT0, and ``fit`` its decay fit. Returns (results,
+    mismatches); an empty mismatch list means the benchmark reproduced
+    within every frozen tolerance.
     """
-    # the layers load here, so that the CLI's reference system does not load them
-    from . import attack, observer, roa, sim
-
-    plant, controller, cl = reference_system()
     expected = expected_values()
-    mismatches = []
-
-    report = model.validate_assumptions(plant, controller, cl)
-    if not report.all_passed:
-        mismatches.append("standing assumptions failed: %s" % report.as_dict())
-
     eig_got = np.linalg.eigvals(cl.A)
-    design = attack.build_design(
-        cl,
-        pi_star=np.array(REFERENCE_PI_STAR),
-        gamma_fraction=REFERENCE_GAMMA_FRACTION,
-        Y=REFERENCE_Y_SCALE * np.eye(cl.n),
-    )
-    obs = observer.design_gain(design, cl.B, desired_poles=np.array(REFERENCE_POLES))
-    est = roa.certify(cl, design, obs)
-    z0, zhat0 = np.array(REFERENCE_Z0), np.array(REFERENCE_ZHAT0)
-    traj = sim.integrate(cl, design, obs, z0, zhat0, dt=dt, T=T)
-    e0 = float(np.linalg.norm(zhat0 - z0))
-    ratio = float(traj.e_norm[-1] / e0)
+    e_norm = traj.e_norm  # a property that recomputes every norm when read
+    e0 = float(np.linalg.norm(np.array(REFERENCE_ZHAT0) - np.array(REFERENCE_Z0)))
+    ratio = float(e_norm[-1] / e0)
     milestones = {}  # None past the horizon: not judged
     for t_mark in expected["error_norm_milestones"]["value"]:
         idx = np.flatnonzero(np.isclose(traj.times, t_mark, atol=dt / 2))
-        milestones[t_mark] = float(traj.e_norm[idx[0]]) if idx.size else None
+        milestones[t_mark] = float(e_norm[idx[0]]) if idx.size else None
 
     # what each row checks: the deviation for a tol row, else the value
     got = {
@@ -184,7 +165,7 @@ def run_reference_case(dt=REFERENCE_DT, T=REFERENCE_T):
             obs.placed_poles, np.array(expected["placed_poles"]["value"], dtype=complex)
         ),
         "forbidden_origin_only": len(design.forbidden) > 0 and all(
-            np.linalg.matrix_rank(np.vstack(sub.normals)) == plant.n_p
+            np.linalg.matrix_rank(np.vstack(sub.normals)) == cl.n_p
             for sub in design.forbidden
         ),
         # the decay ratio is only judged at the full reference horizon
@@ -194,10 +175,10 @@ def run_reference_case(dt=REFERENCE_DT, T=REFERENCE_T):
         "roa_c1": est.c1,
         "roa_c3": est.c3,
     }
+    mismatches = []
     for key, row in expected.items():
         mismatches += _mismatches(key, row, got[key], T)
 
-    fit = sim.fit_decay(traj)
     results = {
         "closed_loop_eigenvalues": [str(v) for v in eig_got],
         "spectrum_distance": got["closed_loop_eigenvalues"],

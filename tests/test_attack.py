@@ -254,7 +254,6 @@ def test_is_observable_zero_row():
     # no output at all: the observability matrix is zero, and the margin is 0, not nan
     result = attack.is_observable(np.diag([-1.0, -2.0]), np.zeros((1, 2)))
     assert result == attack.ObservabilityResult(observable=False, margin=0.0)
-    assert bool(result) is False
 
 
 def test_build_design_reference_frozen(ref_design):

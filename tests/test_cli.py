@@ -162,10 +162,10 @@ def test_function_level_imports_are_the_deliberate_deferrals():
                 deferred.setdefault("%s.%s" % (path.stem, fn.name), set()).update(names)
     assert deferred == {
         "cli._design_pipeline": {"attack", "observer", "roa"},
+        "cli.cmd_reproduce": {"sim"},
         "cli.cmd_roa": {"roa"},
         "cli.cmd_simulate": {"sim"},
         "cli._setup_logging": {"logging"},
-        "refcase.run_reference_case": {"attack", "observer", "roa", "sim"},
         "roa._integrate_seeded": {"numpy.random"},
     }
 
@@ -592,6 +592,24 @@ def test_roa_feasible_instance(tmp_path, capsys):
     assert "feasible" in capsys.readouterr().out
 
 
+def test_roa_refuses_a_dt_off_the_decay_grid_before_the_box_check(tmp_path, monkeypatch, capsys):
+    # 0.003 divides the 3 s horizon but not verify_decay's fixed 2 s one; the
+    # whole box check used to run first, then fail under the name horizon
+    def no_box_check(*args, **kwargs):
+        raise AssertionError("the box check ran")
+
+    monkeypatch.setattr(roa, "monte_carlo_box_check", no_box_check)
+    cfg = _write_config(tmp_path, FEASIBLE_SYSTEM)
+    out = tmp_path / "out"
+    argv = ["roa", "--config", cfg, "--out", str(out), "--dt", "0.003", "--horizon", "3"]
+    assert cli.main(argv + FEASIBLE_FLAGS) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: dt: the 2 s decay horizon: must be a whole number of dt steps,"
+        " got 2.0 = 666.666666667 * dt\n"
+    )
+    assert not (out / "roa.json").exists()
+
+
 def test_bundle_reuse_for_simulate_and_roa(tmp_path):
     cfg = _write_config(tmp_path, FEASIBLE_SYSTEM)
     out_syn = tmp_path / "syn"
@@ -646,6 +664,23 @@ def test_reports_byte_identical_across_runs(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_reproduce_designs_as_synthesize_does(tmp_path):
+    # reproduce-paper runs synthesize's chain on the bundled case's inputs
+    out = tmp_path / "out"
+    argv = ["--out", str(out), "--seed", "3"]
+    assert cli.main(["synthesize", "--pi=1,-3", "--poles=-9.5,-10.5,-11.5,-12.5"] + argv) == 3
+    assert cli.main(["reproduce-paper"] + argv) == 0
+    bundle = _read_json(out / "bundle.json")
+    results = _read_json(out / "reproduce.json")["results"]
+    sections = {
+        "attack": ("gamma_max", "gamma", "pi_star", "pi", "observability_margin"),
+        "observer": ("L", "placement_error"),
+    }
+    stored = {k: bundle[section][k] for section, keys in sections.items() for k in keys}
+    stored["roa"] = bundle["roa"]
+    assert {k: results[k] for k in stored} == stored
+
+
 def test_reproduce_reference_passes(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["reproduce-paper", "--out", str(out)])
@@ -695,15 +730,17 @@ def test_reproduce_detects_drift(tmp_path, monkeypatch, capsys, key, perturb):
     assert "MISMATCHES" in capsys.readouterr().out
 
 
-def test_reproduce_fails_nan_certificate_constants(monkeypatch):
+def test_reproduce_fails_nan_certificate_constants(tmp_path, monkeypatch):
     def raise_numeric(*args, **kwargs):
         raise NumericError("Lyapunov residual exceeds its tolerance")
 
     monkeypatch.setattr(roa, "solve_lyapunov", raise_numeric)
-    results, mismatches = refcase.run_reference_case(T=0.5)
-    assert results["reproduced"] is False
+    out = tmp_path / "out"
+    assert cli.main(["reproduce-paper", "--horizon", "0.5", "--out", str(out)]) == cli.EXIT_MISMATCH
+    payload = _read_json(out / "reproduce.json")
+    assert payload["results"]["reproduced"] is False
     for key in ("roa_c1", "roa_c3"):
-        assert any(line.startswith(key) for line in mismatches), mismatches
+        assert any(line.startswith(key) for line in payload["mismatches"]), payload["mismatches"]
 
 
 def test_bad_pi_vector_is_input_error(tmp_path, capsys):
