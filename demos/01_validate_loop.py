@@ -32,9 +32,9 @@ def main():
     print("input column B = [B_p D_c; B_c]: %s" % cl.B[:, 0])
     print("output weight Q (plant block only):\n%s" % cl.Q)
 
-    pairs = numerics.eig(cl.A)
+    values, _ = numerics.eig(cl.A)
     print("\nclosed-loop spectrum:")
-    for lam in pairs.values:
+    for lam in values:
         print("  %+.6f %+.6fj" % (lam.real, lam.imag))
     print(
         "block triangular structure means this is the union of the plant "

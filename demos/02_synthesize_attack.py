@@ -26,7 +26,7 @@ def main():
     plant, controller, cl = refcase.reference_system()
     pi_star = np.array([float(t) for t in args.pi.split(",")])
 
-    forbidden = attack.forbidden_set(plant, controller)
+    forbidden, _ = attack.forbidden_set(cl)
     print("forbidden subspaces (pi must not be orthogonal to all normals):")
     for sub in forbidden:
         rank = np.linalg.matrix_rank(np.vstack(sub.normals))
@@ -45,10 +45,10 @@ def main():
     print("  fraction   abscissa(Fbar)   observability margin")
     for f in (0.05, 0.3, 0.6, 0.9, 0.99):
         d = attack.build_design(cl, pi_star=pi_star, gamma_fraction=f, Y=Y, seed=args.seed)
-        verdict = attack.is_observable(d.Fbar, d.Hbar)
+        _, margin = attack.is_observable(d.Fbar, d.Hbar)
         print(
             "  %8.2f   %+13.4f   %20.3e"
-            % (f, numerics.spectral_abscissa(d.Fbar), verdict.margin)
+            % (f, numerics.spectral_abscissa(d.Fbar), margin)
         )
     print("the loop stays Hurwitz and observable for every fraction below 1.")
 
@@ -57,7 +57,7 @@ def main():
     print("\nheadline design at fraction 0.9:")
     print("  pi   = %s" % design.pi)
     print("  Hbar = %s" % design.Hbar[0])
-    print("  attacked spectrum: %s" % np.round(numerics.eig(design.Fbar).values, 4))
+    print("  attacked spectrum: %s" % np.round(numerics.eig(design.Fbar)[0], 4))
 
 
 if __name__ == "__main__":

@@ -38,9 +38,9 @@ def main():
     print("placement error %.3e" % obs.placement_error)
 
     aug = observer.augmented_jacobian(cl, design, obs)
-    loop = numerics.eig(cl.A).values
+    loop, _ = numerics.eig(cl.A)
     union = np.concatenate([loop, obs.placed_poles])
-    got = numerics.eig(aug.J_phi).values
+    got, _ = numerics.eig(aug.J_phi)
     dist = numerics.spectrum_distance(got, union)
     print("\ncoupled-system Jacobian spectrum vs loop-union-placed: distance %.3e" % dist)
 

@@ -25,7 +25,7 @@ sim        fixed-step integration, decay fits, CSV/plot emission
 numerics   eigen/Lyapunov/placement primitives shared by the above
 errors     exception taxonomy the CLI maps onto exit codes
 refcase    bundled fourth-order benchmark with frozen expected values
-report     the one conversion of results to report JSON, run metadata
+report     result records, their conversion to report JSON, the JSON reader
 cli        obs-forge command-line front end
 """
 

@@ -11,6 +11,7 @@ until Fbar provably stays Hurwitz.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -32,9 +33,7 @@ from .report import Record
 
 __all__ = [
     "ForbiddenSubspace",
-    "ForbiddenSet",
     "AttackDesign",
-    "ObservabilityResult",
     "forbidden_set",
     "is_observable",
     "choose_pi_star",
@@ -77,23 +76,10 @@ class ForbiddenSubspace(Record):
         return "%s(%d)" % (name, self.index)
 
 
-class ForbiddenSet(Record):
-    """All forbidden subspaces plus notes about vacuous (dropped) constraints."""
-
-    subspaces: tuple
-    notes: tuple = ()
-
-    def __iter__(self):
-        return iter(self.subspaces)
-
-    def __len__(self):
-        return len(self.subspaces)
-
-
-def _subspaces_from_eigpairs(pairs, normal_of, source, notes, zero_tol):
+def _subspaces_from_eigpairs(values, vectors, normal_of, source, notes, zero_tol):
     """Shared plant/controller enumeration with conjugate dedup."""
     out = []
-    for i, (lam, w) in enumerate(pairs):
+    for i, (lam, w) in enumerate(zip(values, vectors.T)):
         if abs(lam.imag) <= 1e-12 * max(1.0, abs(lam)):
             candidates = [normal_of(lam.real, w).real]
         elif lam.imag > 0:
@@ -126,16 +112,29 @@ def _subspaces_from_eigpairs(pairs, normal_of, source, notes, zero_tol):
     return out
 
 
-def _forbidden_from_blocks(A_p, A_c, BpCc, Q_p) -> ForbiddenSet:
+def forbidden_set(closed_loop):
+    """Enumerate every subspace of projection vectors that kills observability.
+
+    One constraint per plant eigenpair (normals from Q_p w_p) and one per
+    controller eigenpair (normals from Q_p (lambda I - A_p)^{-1} B_p C_c w_c),
+    conjugate pairs deduplicated. Call ``validate_assumptions`` first: the
+    controller normals need the plant/controller spectra to be disjoint.
+
+    Returns ``(subspaces, notes)``: the ForbiddenSubspace records, plant
+    eigenpairs first, and the notes on constraints that were dropped as
+    vacuous or lost a normal, both tuples.
+    """
+    A_p, BpCc, Q_p, n_p = closed_loop.A_p, closed_loop.BpCc, closed_loop.Q_p, closed_loop.n_p
     notes = []
-    n_p = A_p.shape[0]
     zero_tol = 1e-12 * max(1.0, spectral_norm(Q_p))
 
     plant_pairs = eig(A_p)
-    ctrl_pairs = eig(A_c)
-    for name, pairs in (("plant", plant_pairs), ("controller", ctrl_pairs)):
+    ctrl_pairs = eig(closed_loop.A_c)
+    # the warning names the user's line, one frame further out under build_design
+    stacklevel = 3 if sys._getframe(1).f_globals is globals() else 2
+    for name, (_, vectors) in (("plant", plant_pairs), ("controller", ctrl_pairs)):
         # np.linalg.cond's ratio, with its inf for a singular matrix
-        sv = np.linalg.svd(pairs.vectors, compute_uv=False)
+        sv = np.linalg.svd(vectors, compute_uv=False)
         cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
         if cond > _COND_DEFECTIVE:
             warnings.warn(
@@ -143,11 +142,11 @@ def _forbidden_from_blocks(A_p, A_c, BpCc, Q_p) -> ForbiddenSet:
                 "forbidden-set enumeration may be incomplete, the final "
                 "observability check remains the authority" % (name, cond),
                 ConditioningWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
 
     subspaces = _subspaces_from_eigpairs(
-        plant_pairs, lambda lam, w: Q_p @ w, "plant", notes, zero_tol
+        *plant_pairs, lambda lam, w: Q_p @ w, "plant", notes, zero_tol
     )
 
     def ctrl_normal(lam, w):
@@ -163,34 +162,17 @@ def _forbidden_from_blocks(A_p, A_c, BpCc, Q_p) -> ForbiddenSet:
         return Q_p @ x
 
     subspaces += _subspaces_from_eigpairs(
-        ctrl_pairs, ctrl_normal, "controller", notes, zero_tol
+        *ctrl_pairs, ctrl_normal, "controller", notes, zero_tol
     )
-    return ForbiddenSet(subspaces=tuple(subspaces), notes=tuple(notes))
+    return tuple(subspaces), tuple(notes)
 
 
-def forbidden_set(plant, controller) -> ForbiddenSet:
-    """Enumerate every subspace of projection vectors that kills observability.
-
-    One constraint per plant eigenpair (normals from Q_p w_p) and one per
-    controller eigenpair (normals from Q_p (lambda I - A_p)^{-1} B_p C_c w_c),
-    conjugate pairs deduplicated. Call ``validate_assumptions`` first: the
-    controller normals need the plant/controller spectra to be disjoint.
-    """
-    return _forbidden_from_blocks(
-        plant.A_p, controller.A_c, plant.B_p @ controller.C_c, plant.Q_p
-    )
-
-
-class ObservabilityResult(Record):
-    observable: bool
-    margin: float
-
-
-def is_observable(F, Hrow) -> ObservabilityResult:
+def is_observable(F, Hrow):
     """Rank test on the observability matrix [H; HF; ...; HF^{n-1}].
 
-    The pair is declared observable when sigma_min > TOL_OBS * sigma_max;
-    ``margin`` is that singular-value ratio (0 for the zero row).
+    Returns ``(observable, margin)``: the pair is declared observable when
+    sigma_min > TOL_OBS * sigma_max, and ``margin`` is that singular-value
+    ratio (0 for the zero row).
     """
     F = np.asarray(F, dtype=float)
     rows = [np.atleast_2d(np.asarray(Hrow, dtype=float))]
@@ -198,9 +180,9 @@ def is_observable(F, Hrow) -> ObservabilityResult:
         rows.append(rows[-1] @ F)
     sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
     if sv[0] == 0.0:
-        return ObservabilityResult(observable=False, margin=0.0)
+        return False, 0.0
     margin = float(sv[-1] / sv[0])
-    return ObservabilityResult(observable=bool(margin > TOL_OBS), margin=margin)
+    return bool(margin > TOL_OBS), margin
 
 
 def _reference_pair(closed_loop, pi):
@@ -228,11 +210,10 @@ def _clearances(forbidden, directions):
     the max is the right aggregation. Directions must be nonzero.
     """
     P = np.atleast_2d(np.asarray(directions, dtype=float))
-    subspaces = list(forbidden)
-    if not subspaces:
+    if not forbidden:
         return np.empty((P.shape[0], 0))
-    N = np.vstack([v for s in subspaces for v in s.normals])
-    starts = np.cumsum([0] + [len(s.normals) for s in subspaces[:-1]])
+    N = np.vstack([v for s in forbidden for v in s.normals])
+    starts = np.cumsum([0] + [len(s.normals) for s in forbidden[:-1]])
     cos = np.abs(P @ N.T) / np.outer(np.linalg.norm(P, axis=1), np.linalg.norm(N, axis=1))
     return np.maximum.reduceat(cos, starts, axis=1)
 
@@ -298,12 +279,12 @@ def choose_pi_star(closed_loop, forbidden, pi_star=None, seed=0):
             )
         chosen = direction = samples[best]
 
-    obs = is_observable(*_reference_pair(closed_loop, direction))
-    if not obs.observable:
+    observable, margin = is_observable(*_reference_pair(closed_loop, direction))
+    if not observable:
         raise SynthesisError(
             "chosen pi* fails the observability check at reference scale "
             "(margin %.3e); the quadratic form may be too degenerate to "
-            "induce observability" % obs.margin
+            "induce observability" % margin
         )
     return chosen
 
@@ -330,7 +311,8 @@ def gamma_max(A, B, Q_p, pi_star, Y):
 
 
 class AttackDesign(Record):
-    """A fully scaled attack: direction, scaling, induced pair, and record."""
+    """A fully scaled attack: direction, scaling, induced pair, and the
+    ``(forbidden, forbidden_notes)`` that :func:`forbidden_set` returned."""
 
     pi_star: np.ndarray
     gamma: float
@@ -338,7 +320,8 @@ class AttackDesign(Record):
     pi: np.ndarray
     Hbar: np.ndarray
     Fbar: np.ndarray
-    forbidden: ForbiddenSet
+    forbidden: tuple
+    forbidden_notes: tuple
     observability_margin: float
 
 
@@ -361,9 +344,7 @@ def build_design(closed_loop, pi_star=None, gamma_fraction=0.9, Y=None, seed=0) 
     n = closed_loop.n
     if Y is None:
         Y = 0.2 * np.eye(n)
-    forbidden = _forbidden_from_blocks(
-        closed_loop.A_p, closed_loop.A_c, closed_loop.BpCc, closed_loop.Q_p
-    )
+    forbidden, notes = forbidden_set(closed_loop)
     pi_star = choose_pi_star(closed_loop, forbidden, pi_star=pi_star, seed=seed)
 
     gmax = gamma_max(closed_loop.A, closed_loop.B, closed_loop.Q_p, pi_star, Y)
@@ -376,11 +357,11 @@ def build_design(closed_loop, pi_star=None, gamma_fraction=0.9, Y=None, seed=0) 
         )
     pi = gamma * pi_star
     Fbar, Hbar = _reference_pair(closed_loop, pi)
-    obs = is_observable(Fbar, Hbar)
-    if not obs.observable:
+    observable, margin = is_observable(Fbar, Hbar)
+    if not observable:
         raise SynthesisError(
             "scaled pair (Fbar, Hbar) lost observability (margin %.3e); "
-            "tolerance breach, not expected under the scaling bound" % obs.margin
+            "tolerance breach, not expected under the scaling bound" % margin
         )
     if not is_hurwitz(Fbar):
         raise SynthesisError(
@@ -399,5 +380,6 @@ def build_design(closed_loop, pi_star=None, gamma_fraction=0.9, Y=None, seed=0) 
         Hbar=Hbar,
         Fbar=Fbar,
         forbidden=forbidden,
-        observability_margin=obs.margin,
+        forbidden_notes=notes,
+        observability_margin=margin,
     )

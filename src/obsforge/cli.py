@@ -249,7 +249,7 @@ def _bundle_payload(config, plant, controller, design, obs, est):
                 }
                 for sub in design.forbidden
             ],
-            "forbidden_notes": design.forbidden.notes,
+            "forbidden_notes": design.forbidden_notes,
         },
         "observer": {
             "L": obs.L[:, 0],

@@ -197,8 +197,8 @@ def validate_assumptions(plant, controller, closed_loop) -> AssumptionReport:
     of the given models, not a programming error.
     """
     abscissa = spectral_abscissa(closed_loop.A)
-    lam_p = eig(plant.A_p).values
-    lam_c = eig(controller.A_c).values
+    lam_p, _ = eig(plant.A_p)
+    lam_c, _ = eig(controller.A_c)
     gap = float(np.abs(lam_p[:, None] - lam_c[None, :]).min())
     bpcc = spectral_norm(plant.B_p @ controller.C_c)
     # PlantModel construction already rejects asymmetric Q_p; recheck the

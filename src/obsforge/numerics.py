@@ -34,10 +34,8 @@ import operator
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .report import Record
 
 __all__ = [
-    "EigenPairs",
     "eig",
     "solve_lyapunov",
     "place_poles_dual",
@@ -96,25 +94,6 @@ def _check_steps(dt, T, stride, T_field="T"):
     return int(round(steps))
 
 
-class EigenPairs(Record):
-    """Eigenvalues with column-paired unit eigenvectors.
-
-    ``values[i]`` goes with ``vectors[:, i]``. Complex eigenvalues of real
-    matrices appear with the two members of each conjugate pair adjacent,
-    positive imaginary part first.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __len__(self):
-        return self.values.shape[0]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self.values[i], self.vectors[:, i]
-
-
 def eig(M):
     """Eigendecomposition of a real square matrix.
 
@@ -125,8 +104,10 @@ def eig(M):
 
     Returns
     -------
-    EigenPairs
-        Unit eigenvectors, residual-checked: ``||M v - lam v|| <= 1e-8 ||M||``.
+    values, vectors : ndarray
+        As ``np.linalg.eig``: ``values[i]`` goes with the unit column
+        ``vectors[:, i]``. Conjugate pairs sit together, positive imaginary
+        part first. Residual-checked: ``||M v - lam v|| <= 1e-8 ||M||``.
 
     Raises
     ------
@@ -154,13 +135,13 @@ def eig(M):
     # max|M_ij| <= ||M||_2: passing against the entries passes against the norm
     bound = max(np.abs(M).max(initial=0.0) * (1 - _MARGIN), 1e-300)
     if resid.max(initial=0.0) <= TOL_RESIDUAL * bound:
-        return EigenPairs(values=values, vectors=vectors)
+        return values, vectors
     if np.any(resid > TOL_RESIDUAL * max(spectral_norm(M), 1e-300)):
         raise NumericError(
             "eigenpair residual %.3e exceeds %.1e * ||M|| (cond(V)=%.3e)"
             % (resid.max(), TOL_RESIDUAL, np.linalg.cond(vectors))
         )
-    return EigenPairs(values=values, vectors=vectors)
+    return values, vectors
 
 
 def solve_lyapunov(A, Y):

@@ -115,7 +115,7 @@ def gain_from_vector(design, B, L, desired_poles=None) -> ObserverDesign:
     """
     B = np.asarray(B, dtype=float).reshape(-1, 1)
     L = np.array(L, dtype=float).reshape(-1, 1)
-    placed = eig(design.Fbar + (B + L) @ design.Hbar).values
+    placed, _ = eig(design.Fbar + (B + L) @ design.Hbar)
     if desired_poles is None:
         desired_poles = placed.copy()
     desired_poles = np.asarray(desired_poles, dtype=complex).reshape(-1)

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from obsforge.errors import (
     SynthesisError,
     ValidationError,
 )
-from obsforge.numerics import EigenPairs, is_hurwitz
+from obsforge.numerics import is_hurwitz
 from paper_equations import attack_signal, clearance
 
 
@@ -23,8 +24,8 @@ def _pair(cl, pi):
 
 
 def test_forbidden_reference_structure(ref_system):
-    plant, controller, _ = ref_system
-    fset = attack.forbidden_set(plant, controller)
+    _, _, cl = ref_system
+    fset, notes = attack.forbidden_set(cl)
     assert len(fset) == 2
     tags = sorted(sub.tag for sub in fset)
     assert tags == ["ControllerEig(0)", "PlantEig(0)"]
@@ -32,7 +33,7 @@ def test_forbidden_reference_structure(ref_system):
         assert len(sub.normals) == 2
         assert np.linalg.matrix_rank(np.vstack(sub.normals)) == 2
         assert not sub.degenerate
-    assert fset.notes == ()
+    assert notes == ()
 
 
 def test_forbidden_real_eigs_are_hyperplanes():
@@ -42,7 +43,7 @@ def test_forbidden_real_eigs_are_hyperplanes():
     controller = model.ControllerModel(
         A_c=np.array([[-3.0]]), B_c=np.array([[1.0]]), C_c=np.array([[1.0]]), D_c=1.0
     )
-    fset = attack.forbidden_set(plant, controller)
+    fset, _ = attack.forbidden_set(model.assemble(plant, controller))
     assert len(fset) == 3  # two plant eigenpairs, one controller eigenpair
     for sub in fset:
         assert len(sub.normals) == 1
@@ -62,10 +63,10 @@ def test_forbidden_zero_qp_vacuous():
     controller = model.ControllerModel(
         A_c=np.array([[-3.0]]), B_c=np.array([[1.0]]), C_c=np.array([[1.0]]), D_c=1.0
     )
-    fset = attack.forbidden_set(plant, controller)
+    fset, notes = attack.forbidden_set(model.assemble(plant, controller))
     assert len(fset) == 0
-    assert len(fset.notes) == 3
-    assert all("vacuous" in note for note in fset.notes)
+    assert len(notes) == 3
+    assert all("vacuous" in note for note in notes)
 
 
 def test_forbidden_complex_pair_losing_a_normal_is_degenerate():
@@ -78,16 +79,17 @@ def test_forbidden_complex_pair_losing_a_normal_is_degenerate():
     controller = model.ControllerModel(
         A_c=np.array([[-3.0]]), B_c=np.array([[1.0]]), C_c=np.array([[1.0]]), D_c=0.0
     )
-    fset = attack.forbidden_set(plant, controller)
+    cl = model.assemble(plant, controller)
+    fset, notes = attack.forbidden_set(cl)
     assert [(s.tag, s.degenerate, len(s.normals)) for s in fset] == [
         ("PlantEig(0)", True, 1),
         ("ControllerEig(0)", False, 1),
     ]
-    assert len(fset.notes) == 1
-    assert "plant eigenpair 0" in fset.notes[0]
-    assert "one normal vanished; constraint degenerates to a single hyperplane" in fset.notes[0]
-    design = attack.build_design(model.assemble(plant, controller))
-    assert design.forbidden.notes == fset.notes
+    assert len(notes) == 1
+    assert "plant eigenpair 0" in notes[0]
+    assert "one normal vanished; constraint degenerates to a single hyperplane" in notes[0]
+    design = attack.build_design(cl)
+    assert design.forbidden_notes == notes
 
 
 def test_forbidden_shared_eigenvalue_is_assumption_error():
@@ -98,7 +100,7 @@ def test_forbidden_shared_eigenvalue_is_assumption_error():
         A_c=np.array([[-1.0]]), B_c=np.array([[1.0]]), C_c=np.array([[1.0]]), D_c=1.0
     )
     with pytest.raises(AssumptionError, match="coincides with a plant eigenvalue"):
-        attack.forbidden_set(plant, controller)
+        attack.forbidden_set(model.assemble(plant, controller))
 
 
 def test_forbidden_defective_matrix_warns():
@@ -111,7 +113,28 @@ def test_forbidden_defective_matrix_warns():
         A_c=np.array([[-3.0]]), B_c=np.array([[1.0]]), C_c=np.array([[1.0]]), D_c=1.0
     )
     with pytest.warns(ConditioningWarning):
-        attack.forbidden_set(plant, controller)
+        attack.forbidden_set(model.assemble(plant, controller))
+
+
+def test_defective_matrix_warning_names_the_callers_line():
+    # a direct call and one through build_design both point at the user's line
+    plant = model.PlantModel(
+        A_p=np.array([[-1.0, 1.0], [0.0, -1.0]]),  # Jordan block
+        B_p=np.array([[1.0], [1.0]]),
+        Q_p=np.eye(2),
+    )
+    controller = model.ControllerModel(
+        A_c=np.array([[-3.0]]), B_c=np.array([[1.0]]), C_c=np.array([[1.0]]), D_c=1.0
+    )
+    cl = model.assemble(plant, controller)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        direct = inspect.currentframe().f_lineno + 1
+        attack.forbidden_set(cl)
+        chained = inspect.currentframe().f_lineno + 1
+        attack.build_design(cl, pi_star=np.array([1.0, -3.0]))
+    assert [w.category for w in caught] == [ConditioningWarning] * 2
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, direct), (__file__, chained)]
 
 
 def test_forbidden_singular_eigenvectors_read_inf_condition(monkeypatch):
@@ -127,15 +150,15 @@ def test_forbidden_singular_eigenvectors_read_inf_condition(monkeypatch):
     real_eig = attack.eig
 
     def eig(M):
-        pairs = real_eig(M)
+        values, vectors = real_eig(M)
         if M.shape != (2, 2):
-            return pairs
-        return EigenPairs(values=pairs.values, vectors=singular)
+            return values, vectors
+        return values, singular
 
     monkeypatch.setattr(attack, "eig", eig)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        attack.forbidden_set(plant, controller)
+        attack.forbidden_set(model.assemble(plant, controller))
     assert [w.category for w in caught] == [ConditioningWarning]
     assert "plant matrix looks defective (eigenvector condition inf)" in str(caught[0].message)
 
@@ -144,7 +167,7 @@ def test_margin_semantics():
     sub = attack.ForbiddenSubspace(
         normals=(np.array([1.0, 0.0]),), source="plant", index=0, eigenvalue=-1.0
     )
-    got = attack._clearances(attack.ForbiddenSet(subspaces=(sub,)), [[1.0, 0.0], [0.0, 1.0]])
+    got = attack._clearances((sub,), [[1.0, 0.0], [0.0, 1.0]])
     assert got.shape == (2, 1)
     assert got[:, 0] == pytest.approx([1.0, 0.0])
     # choose_pi_star refuses a zero pi before scoring it; the oracle gives it 0
@@ -160,7 +183,7 @@ def test_pbh_vs_bruteforce_sampled(make_random_system):
             plant, controller, cl = make_random_system(
                 rng, n_p=int(rng.integers(2, 4)), n_c=int(rng.integers(1, 3))
             )
-            fset = attack.forbidden_set(plant, controller)
+            fset, _ = attack.forbidden_set(cl)
             for sub in fset:
                 null = scipy.linalg.null_space(np.vstack(sub.normals))
                 if null.shape[1] == 0:
@@ -168,12 +191,14 @@ def test_pbh_vs_bruteforce_sampled(make_random_system):
                 pi_in = null @ rng.standard_normal(null.shape[1])
                 if np.linalg.norm(pi_in) < 1e-9:
                     continue
-                assert not attack.is_observable(*_pair(cl, pi_in)).observable
+                observable, _ = attack.is_observable(*_pair(cl, pi_in))
+                assert not observable
             for _ in range(3):
                 pi = rng.standard_normal(plant.n_p)
                 if fset and min(clearance(s, pi) for s in fset) < 1e-3:
                     continue
-                assert attack.is_observable(*_pair(cl, pi)).observable
+                observable, _ = attack.is_observable(*_pair(cl, pi))
+                assert observable
 
 
 def test_choose_pi_star_rejects_forbidden_direction():
@@ -184,7 +209,7 @@ def test_choose_pi_star_rejects_forbidden_direction():
         A_c=np.array([[-3.0]]), B_c=np.array([[1.0]]), C_c=np.array([[1.0]]), D_c=1.0
     )
     cl = model.assemble(plant, controller)
-    fset = attack.forbidden_set(plant, controller)
+    fset, _ = attack.forbidden_set(cl)
     # [0, 1] is orthogonal to the PlantEig(0) normal e1
     with pytest.raises(ValidationError, match="PlantEig"):
         attack.choose_pi_star(cl, fset, pi_star=np.array([0.0, 1.0]))
@@ -193,8 +218,8 @@ def test_choose_pi_star_rejects_forbidden_direction():
 
 
 def test_choose_pi_star_seeded_and_clear(ref_system):
-    plant, controller, cl = ref_system
-    fset = attack.forbidden_set(plant, controller)
+    _, _, cl = ref_system
+    fset, _ = attack.forbidden_set(cl)
     a = attack.choose_pi_star(cl, fset, seed=9)
     b = attack.choose_pi_star(cl, fset, seed=9)
     assert np.array_equal(a, b)
@@ -241,19 +266,20 @@ def test_scaling_preserves_stability_sampled(make_random_system):
             plant, controller, cl = make_random_system(
                 rng, n_p=int(rng.integers(2, 4)), n_c=int(rng.integers(1, 3))
             )
-            fset = attack.forbidden_set(plant, controller)
+            fset, _ = attack.forbidden_set(cl)
             pistar = attack.choose_pi_star(cl, fset, seed=int(rng.integers(1 << 30)))
             gmax = attack.gamma_max(cl.A, cl.B, plant.Q_p, pistar, 0.2 * np.eye(cl.n))
             for f in (0.05, 0.5, 0.99, 0.999):
                 F, H = _pair(cl, f * gmax * pistar)
                 assert is_hurwitz(F)
-                assert attack.is_observable(F, H).observable
+                observable, _ = attack.is_observable(F, H)
+                assert observable
 
 
 def test_is_observable_zero_row():
     # no output at all: the observability matrix is zero, and the margin is 0, not nan
     result = attack.is_observable(np.diag([-1.0, -2.0]), np.zeros((1, 2)))
-    assert result == attack.ObservabilityResult(observable=False, margin=0.0)
+    assert result == (False, 0.0)
 
 
 def test_build_design_reference_frozen(ref_design):
@@ -262,6 +288,18 @@ def test_build_design_reference_frozen(ref_design):
     assert ref_design.pi == pytest.approx([0.765038018318703, -2.295114054956109], rel=1e-9)
     assert ref_design.observability_margin == pytest.approx(7.910496615980e-04, rel=1e-9)
     assert is_hurwitz(ref_design.Fbar)
+
+
+def test_build_design_reports_fbar_not_hurwitz(ref_system, monkeypatch):
+    # the scaling bound rules this out; only a tolerance breach reaches it
+    _, _, cl = ref_system
+    monkeypatch.setattr(attack, "is_hurwitz", lambda F: False)
+    with pytest.raises(SynthesisError) as exc:
+        attack.build_design(cl, pi_star=np.array([1.0, -3.0]), gamma_fraction=0.9)
+    assert str(exc.value) == (
+        "Fbar is not Hurwitz at gamma=0.765038 despite gamma < gamma_max=0.850042; "
+        "tolerance breach, not expected under the scaling bound"
+    )
 
 
 def test_build_design_validates_fraction(ref_system):
@@ -310,7 +348,7 @@ def _candidates(seed, n_p, n_candidates=64):
 def test_clearance_kernel_matches_margin_loop(make_random_system, monkeypatch):
     # the winner is compared even where the Krylov test would reject it
     monkeypatch.setattr(
-        attack, "is_observable", lambda F, H: attack.ObservabilityResult(True, 1.0)
+        attack, "is_observable", lambda F, H: (True, 1.0)
     )
     rng = np.random.default_rng(505)
     with warnings.catch_warnings():
@@ -318,7 +356,7 @@ def test_clearance_kernel_matches_margin_loop(make_random_system, monkeypatch):
         for n in range(4, 13):
             for _ in range(2):
                 plant, controller, cl = make_random_system(rng, n_p=n // 2, n_c=n - n // 2)
-                fset = attack.forbidden_set(plant, controller)
+                fset, _ = attack.forbidden_set(cl)
                 for seed in (0, 1, 7, 123):
                     samples = _candidates(seed, plant.n_p)
                     per_sub = attack._clearances(fset, samples)
@@ -341,7 +379,7 @@ def test_clearance_kernel_matches_margin_loop(make_random_system, monkeypatch):
 
 def test_choose_pi_star_empty_set_takes_first_candidate(ref_system):
     _, _, cl = ref_system
-    empty = attack.ForbiddenSet(subspaces=())
+    empty = ()
     assert attack._clearances(empty, _candidates(3, cl.n_p)).shape == (64, 0)
     for seed in (0, 3, 9):
         chosen = attack.choose_pi_star(cl, empty, seed=seed)
@@ -349,8 +387,8 @@ def test_choose_pi_star_empty_set_takes_first_candidate(ref_system):
 
 
 def test_choose_pi_star_no_candidate_clears(ref_system, monkeypatch):
-    plant, controller, cl = ref_system
-    fset = attack.forbidden_set(plant, controller)
+    _, _, cl = ref_system
+    fset, _ = attack.forbidden_set(cl)
     best = max(min(clearance(s, p) for s in fset) for p in _candidates(4, cl.n_p))
     # |cos| never exceeds 1, so no candidate clears a unit margin
     monkeypatch.setattr(attack, "TOL_MARGIN", 1.0)
@@ -367,8 +405,8 @@ def test_choose_pi_star_names_first_violated_subspace():
         A_c=np.array([[-4.0]]), B_c=np.array([[1.0]]), C_c=np.array([[1.0]]), D_c=1.0
     )
     cl = model.assemble(plant, controller)
-    fset = attack.forbidden_set(plant, controller)
-    first, second = fset.subspaces[:2]
+    fset, _ = attack.forbidden_set(cl)
+    first, second = fset[:2]
     # orthogonal to the single normal of each of the first two subspaces
     pi = np.cross(first.normals[0], second.normals[0])
     inside = [s.tag for s in fset if clearance(s, pi) <= attack.TOL_MARGIN]
@@ -382,8 +420,8 @@ def test_choose_pi_star_names_first_violated_subspace():
 
 def test_choose_pi_star_scores_in_one_pass(ref_system, monkeypatch):
     # the search scores every candidate in one array pass, never per subspace
-    plant, controller, cl = ref_system
-    fset = attack.forbidden_set(plant, controller)
+    _, _, cl = ref_system
+    fset, _ = attack.forbidden_set(cl)
     seeded = attack.choose_pi_star(cl, fset, seed=9)
     supplied = attack.choose_pi_star(cl, fset, pi_star=np.array([1.0, -3.0]))
 

@@ -26,8 +26,8 @@ PUBLIC_API = {
     "attack", "cli", "model", "numerics", "observer", "refcase", "roa", "sim",
     "AssumptionError", "AssumptionReport", "AttackDesign", "AugmentedJacobian",
     "BoxReport", "ClosedLoop", "ConditioningWarning", "ControllerModel",
-    "CoupledField", "DecayFit", "DecayReport", "DivergenceError", "ForbiddenSet",
-    "ForbiddenSubspace", "NumericError", "ObservabilityResult", "ObserverDesign",
+    "CoupledField", "DecayFit", "DecayReport", "DivergenceError",
+    "ForbiddenSubspace", "NumericError", "ObserverDesign",
     "PlantModel", "RoaEstimate", "SynthesisError", "Trajectory", "ValidationError",
     "__version__", "assemble", "augmented_jacobian",
     "build_design", "certify", "choose_pi_star", "coupled_field", "default_poles",
@@ -269,7 +269,7 @@ def test_logging_loads_only_when_lines_are_asked_for(tmp_path, monkeypatch):
 
 
 def test_public_api_is_pinned():
-    assert len(obsforge.__all__) == len(PUBLIC_API) == 53
+    assert len(obsforge.__all__) == len(PUBLIC_API) == 51
     assert set(obsforge.__all__) == PUBLIC_API
     for name in PUBLIC_API - {"__version__"}:
         value = getattr(obsforge, name)

@@ -27,9 +27,9 @@ from obsforge.observer import PLACEMENT_TOL
 
 def test_eig_diagonal_exact():
     M = np.diag([-3.0, -1.0, 2.0])
-    pairs = eig(M)
-    assert np.allclose(pairs.values, [-3.0, -1.0, 2.0])
-    for lam, v in pairs:
+    values, vectors = eig(M)
+    assert np.allclose(values, [-3.0, -1.0, 2.0])
+    for lam, v in zip(values, vectors.T):
         assert np.linalg.norm(M @ v - lam * v) < 1e-12
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
@@ -37,7 +37,7 @@ def test_eig_diagonal_exact():
 def test_eig_conjugates_adjacent_positive_first():
     # rotation-like block: eigenvalues -1 +/- 2j plus a real one
     M = np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.0], [0.0, 0.0, -5.0]])
-    vals = eig(M).values
+    vals, _ = eig(M)
     assert vals[0] == pytest.approx(-5.0)
     assert vals[1] == pytest.approx(-1.0 + 2.0j)
     assert vals[2] == pytest.approx(-1.0 - 2.0j)
@@ -47,10 +47,21 @@ def test_eig_random_residuals():
     rng = np.random.default_rng(11)
     for _ in range(20):
         M = rng.standard_normal((5, 5))
-        pairs = eig(M)
+        values, vectors = eig(M)
         scale = max(1.0, spectral_norm(M))
-        for lam, v in pairs:
+        for lam, v in zip(values, vectors.T):
             assert np.linalg.norm(M @ v - lam * v) <= 1e-8 * scale
+
+
+def test_eig_reports_nonconvergence(monkeypatch):
+    def fail(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(NumericError) as exc:
+        eig(np.eye(2))
+    assert str(exc.value) == "eigendecomposition failed to converge: Eigenvalues did not converge"
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_eig_rejects_nonsquare_and_nonfinite():
@@ -273,7 +284,7 @@ def ref_eig(M):
             "eigenpair residual %.3e exceeds %.1e * ||M|| (cond(V)=%.3e)"
             % (resid.max(), numerics.TOL_RESIDUAL, np.linalg.cond(vectors))
         )
-    return numerics.EigenPairs(values=values, vectors=vectors)
+    return values, vectors
 
 
 def ref_solve_lyapunov(A, Y):
@@ -442,7 +453,7 @@ def _outcome(fn, *args):
         out = fn(*args)
     except (NumericError, ValueError) as exc:
         return type(exc), str(exc)
-    arrays = (out.values, out.vectors) if isinstance(out, numerics.EigenPairs) else (out,)
+    arrays = out if isinstance(out, tuple) else (out,)
     return [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
 
 
@@ -505,8 +516,8 @@ def test_eig_exact_residual_check_behind_the_screen(n, monkeypatch):
     # bounds fails the screen, and the SVD must then decide as before
     rng = np.random.default_rng([22, n])
     M = np.ones((n, n)) + 1e-3 * rng.standard_normal((n, n))
-    pairs = eig(M)
-    resid = np.linalg.norm(M @ pairs.vectors - pairs.vectors * pairs.values, axis=0).max()
+    values, vectors = eig(M)
+    resid = np.linalg.norm(M @ vectors - vectors * values, axis=0).max()
     entry, norm = np.abs(M).max(), spectral_norm(M)
     assert 0 < resid and 1.5 * entry < norm
     calls = _spy(monkeypatch, numerics, "spectral_norm")

@@ -6,15 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from obsforge import attack, cli, model, numerics, observer, refcase, roa, sim
+from obsforge import attack, cli, model, observer, refcase, roa, sim
 from obsforge.report import Record, Reported, jsonable
 
 #: every record class of the package, by name
 RECORDS = [
-    "ForbiddenSubspace", "ForbiddenSet", "ObservabilityResult", "AttackDesign",  # attack
+    "ForbiddenSubspace", "AttackDesign",  # attack
     "RunConfig",  # cli
     "PlantModel", "ControllerModel", "ClosedLoop", "AssumptionReport",  # model
-    "EigenPairs",  # numerics
     "ObserverDesign", "AugmentedJacobian", "CoupledField",  # observer
     "RoaEstimate", "DecayReport", "BoxReport",  # roa
     "Trajectory", "DecayFit",  # sim
@@ -40,16 +39,13 @@ def instances(ref_system, ref_design, ref_observer, cert_instance):
         np.array(refcase.REFERENCE_ZHAT0), T=0.05, stride=5,
     )
     made = [
-        ref_design.forbidden.subspaces[0],
-        ref_design.forbidden,
-        attack.is_observable(ref_design.Fbar, ref_design.Hbar),
+        ref_design.forbidden[0],
         ref_design,
         cli.RunConfig(),
         plant,
         controller,
         cl,
         model.validate_assumptions(plant, controller, cl),
-        numerics.eig(cl.A),
         ref_observer,
         observer.augmented_jacobian(cl, ref_design, ref_observer),
         observer.coupled_field(cl, ref_design, ref_observer),
@@ -70,6 +66,24 @@ def test_every_record_class_is_checked():
 
     found = {c.__name__ for c in subclasses(Record) if c.__module__.startswith("obsforge.")}
     assert found - {"Reported"} == set(RECORDS)
+
+
+def test_reference_chain_builds_only_its_result_records(ref_system, monkeypatch):
+    # helpers hand back plain tuples; a record is built only for a result the chain keeps
+    built = set()
+    init = Record.__init__
+
+    def spy(self, *args, **kwargs):
+        built.add(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    plant, controller, cl = ref_system
+    monkeypatch.setattr(Record, "__init__", spy)
+    model.validate_assumptions(plant, controller, cl)
+    design = attack.build_design(cl, pi_star=np.array(refcase.REFERENCE_PI_STAR))
+    obs = observer.design_gain(design, cl.B, desired_poles=np.array(refcase.REFERENCE_POLES))
+    roa.certify(cl, design, obs)
+    assert built == {"AssumptionReport", "ForbiddenSubspace", "AttackDesign", "ObserverDesign", "RoaEstimate"}
 
 
 @pytest.mark.parametrize("name", RECORDS)
